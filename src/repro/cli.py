@@ -14,13 +14,11 @@ Commands
 [--no-cache] [--stats]``
     Regenerate the paper's tables/figures and print them.
 ``perf [--scale F] [--output BENCH.json] [--baseline BENCH.json]
-[--batch-differential SCALE] [--profile OUT.prof]``
+[--profile OUT.prof]``
     Run the perf-benchmark harness (:mod:`repro.perf`): time each
     (benchmark, scheme) cell's interpret/translate/simulate phases plus
     the end-to-end serial cold ``figures`` path, and write a
     ``BENCH_*.json`` trajectory point (see ``docs/PERF.md``).
-    ``--batch-differential SCALE`` adds the batch replay tier's
-    same-process kill-switch comparison (on vs ``SMARQ_BATCH_WIDTH=0``).
     ``--profile OUT.prof`` instead runs the serial cold figures path
     once under :mod:`cProfile` and writes the profile for ``pstats`` /
     ``snakeviz``.
@@ -323,14 +321,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
             benchmarks=benchmarks,
             schemes=schemes,
         )
-    if args.batch_differential > 0:
-        from repro.perf.harness import measure_batch_differential
-
-        payload["batch_differential"] = measure_batch_differential(
-            benchmarks=benchmarks,
-            scale=args.batch_differential,
-            repeats=args.repeats,
-        )
     if args.baseline:
         attach_baseline(payload, load_bench(args.baseline))
     write_bench(args.output, payload)
@@ -563,13 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fail-below", type=float, default=0.0, metavar="RATIO",
         help="exit non-zero when the execute-phase or cell-sweep speedup "
         "vs --baseline falls below RATIO (the CI regression gate)",
-    )
-    perf_p.add_argument(
-        "--batch-differential", type=float, default=0.0, metavar="SCALE",
-        help="also measure the batch replay tier against its own "
-        "SMARQ_BATCH_WIDTH=0 kill switch at SCALE (same process, "
-        "interleaved legs) into the batch_differential section; "
-        "benchmarks default to the loop-dominated set",
     )
     perf_p.add_argument(
         "--serve-load", action="store_true",

@@ -138,23 +138,13 @@ class ExecutionEngine:
                 f"positives)",
                 f"regions executed      : "
                 f"{c.get('vliw.regions_executed', 0)}",
-            ]
-            batch = c.get("vliw.backend_batch", 0)
-            tiers = (
                 f"replay backends       : "
                 f"{c.get('vliw.backend_interp', 0)} interp / "
-                f"{c.get('vliw.backend_py', 0)} py / "
-                f"{c.get('vliw.backend_vec', 0)} vec / "
-                f"{batch} batch"
-            )
-            if batch:
-                from repro.sim.replay_backends import batch_flavor
-
-                tiers += (
-                    f" ({c.get('vliw.batch_iterations', 0)} batched "
-                    f"iters, {batch_flavor()} prefilter)"
-                )
-            lines.append(tiers)
+                f"{c.get('vliw.backend_kernel', 0)} kernel "
+                f"({c.get('vliw.kernel_compiles', 0)} compiles, "
+                f"{c.get('vliw.kernel_loop_iterations', 0)} looped, "
+                f"{c.get('vliw.kernel_escapes', 0)} escapes)",
+            ]
         plan_hits = c.get("vliw.plan_hits", 0)
         plan_misses = c.get("vliw.plan_misses", 0)
         lookups = plan_hits + plan_misses
@@ -165,7 +155,6 @@ class ExecutionEngine:
                 f"{plan_misses} misses{rate}",
                 f"timing-plan compiles  : "
                 f"{c.get('vliw.plan_compiles', 0)} signatures, "
-                f"{c.get('vliw.replay_compiles', 0)} replay fns, "
                 f"{c.get('vliw.plan_invalidations', 0)} invalidations",
             ]
         tc_hits = c.get("translate.cache_hits", 0)

@@ -27,32 +27,26 @@ Counter names used by the simulation stack:
 ``vliw.plan_invalidations``
     translations whose cached trace + plans were dropped on
     re-optimization or blacklisting;
-``vliw.replay_compiles``
-    timing plans that adopted the compiled ``py`` replay tier for their
-    trace (at most one per compiled region trace; an adoption served
-    from an already-compiled shared artifact also counts
-    ``vliw.replay_cache_hits`` — no codegen ran for it);
-``vliw.replay_cache_hits``
-    replay adoptions served from the process-wide artifact cache
-    (content-identical region clones sharing lowered IR + kernels);
-``vliw.backend_interp`` / ``vliw.backend_py`` / ``vliw.backend_vec`` /
-``vliw.backend_batch``
-    region executions per replay backend tier (the generic dispatch
-    loop, the generated straight-line function, the vectorized kernel,
-    and the cross-iteration batched kernel; counted only while a real
-    tracer is installed — they are observability counters, not report
-    fields; the four partition ``vliw.regions_executed``);
-``vliw.vec_compiles``
-    vectorized kernels compiled from lowered replay IR;
-``vliw.vec_fallbacks``
-    vec executions that hit a runtime fact outside the kernel's static
-    model and re-ran on the ``py`` tier (repeated fallbacks demote the
-    trace to ``py`` for good);
-``vliw.batch_compiles`` / ``vliw.batch_iterations`` / ``vliw.batch_trims``
-    batched kernels compiled, region iterations committed inside batch
-    calls, and batches trimmed by the prefilter or a guarded escape
-    (the trimmed iteration rolls back and re-runs on the ``py`` tier;
-    repeated early trims demote the trace out of the batch tier);
+``vliw.backend_interp`` / ``vliw.backend_kernel``
+    region executions per replay path (the generic dispatch loop and
+    the compiled kernel; counted only while a real tracer is installed
+    — they are observability counters, not report fields; the two
+    partition ``vliw.regions_executed``);
+``vliw.kernel_compiles``
+    kernels compiled from lowered replay IR (at most one per lowered
+    trace and shared artifact);
+``vliw.kernel_cache_hits``
+    timing plans that adopted a kernel already compiled into the
+    process-wide artifact cache (content-identical region clones
+    sharing lowered IR + kernel; no codegen ran for them);
+``vliw.kernel_loop_iterations``
+    back-edge iterations a self-looping region committed inside one
+    kernel call before its final iteration (each also counts once in
+    ``vliw.backend_kernel``);
+``vliw.kernel_escapes``
+    kernel iterations that hit a runtime fact outside the static model
+    and re-ran on the dispatch loop (traces that keep escaping early
+    are demoted to it for good);
 ``translate.cache_hits`` / ``translate.cache_misses``
     full-translation lookups in the content-keyed translation cache (a
     hit clones a previously optimized region instead of re-optimizing);

@@ -65,14 +65,24 @@ Schema history:
   and the process-wide ``batch_flavor`` ("numpy" when the optional
   ``[perf]`` extra is importable, else "pure"); the payload top level
   records ``batch_flavor`` too. An optional ``batch_differential``
-  section (``perf --batch-differential SCALE``,
-  :func:`measure_batch_differential`) measures the batch tier against
-  its own kill switch — the same cells, same process, same day, with
-  batching on vs ``SMARQ_BATCH_WIDTH=0`` — so the tier's execute-phase
-  speedup is not confounded with the machine drift that a
-  cross-BENCH-file comparison inevitably carries. Schema-1..5
+  section (``perf --batch-differential SCALE``, removed in schema 7)
+  measured the batch tier against its own kill switch — the same
+  cells, same process, same day, with batching on vs
+  ``SMARQ_BATCH_WIDTH=0`` — so the tier's execute-phase speedup was
+  not confounded with the machine drift that a cross-BENCH-file
+  comparison inevitably carries. Schema-1..5
   baselines remain readable: every added field is optional on the
   baseline side.
+* **7** — one replay kernel per hot trace. ``backends`` collapses to
+  the two surviving paths: ``interp`` and ``kernel`` execution counts
+  (which partition ``vliw.regions_executed``), ``kernel_compiles``,
+  ``kernel_cache_hits``, ``kernel_loop_iterations``, ``kernel_escapes``
+  and the derived ``kernel_share``; ``plans`` drops ``replay_compiles``.
+  The ``batch_flavor`` fields and the ``batch_differential`` section
+  are gone with the batch tier and its ``SMARQ_BATCH_WIDTH`` kill
+  switch. Schema-6 (and older) baselines remain readable: the baseline
+  comparison reads only per-cell ``wall_s``/``phases``,
+  ``figures_cold`` and ``total_cell_wall_s``.
 """
 
 from __future__ import annotations
@@ -85,7 +95,7 @@ from contextlib import redirect_stdout
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-BENCH_SCHEMA_VERSION = 6
+BENCH_SCHEMA_VERSION = 7
 
 #: three representative workloads: regular streams (swim), small hot loop
 #: with heavy aliasing (art), pointer-chasing stores (equake)
@@ -207,35 +217,25 @@ def _plan_summary(counters: Dict[str, int]) -> Dict[str, object]:
         "misses": misses,
         "compiles": counters.get("vliw.plan_compiles", 0),
         "invalidations": counters.get("vliw.plan_invalidations", 0),
-        "replay_compiles": counters.get("vliw.replay_compiles", 0),
         "hit_rate": (hits / lookups) if lookups else 0.0,
     }
 
 
 def _backend_summary(counters: Dict[str, int]) -> Dict[str, object]:
-    """Replay backend-tier counters of one cell, plus derived shares."""
-    from repro.sim.replay_backends import batch_flavor
-
+    """Replay-path counters of one cell, plus the kernel's share."""
     interp = counters.get("vliw.backend_interp", 0)
-    py = counters.get("vliw.backend_py", 0)
-    vec = counters.get("vliw.backend_vec", 0)
-    batch = counters.get("vliw.backend_batch", 0)
-    total = interp + py + vec + batch
+    kernel = counters.get("vliw.backend_kernel", 0)
+    total = interp + kernel
     return {
         "interp": interp,
-        "py": py,
-        "vec": vec,
-        "batch": batch,
-        "vec_compiles": counters.get("vliw.vec_compiles", 0),
-        "vec_fallbacks": counters.get("vliw.vec_fallbacks", 0),
-        "batch_compiles": counters.get("vliw.batch_compiles", 0),
-        "batch_iterations": counters.get("vliw.batch_iterations", 0),
-        "batch_trims": counters.get("vliw.batch_trims", 0),
-        "batch_flavor": batch_flavor(),
-        "replay_compiles": counters.get("vliw.replay_compiles", 0),
-        "replay_cache_hits": counters.get("vliw.replay_cache_hits", 0),
-        "vec_share": (vec / total) if total else 0.0,
-        "batch_share": (batch / total) if total else 0.0,
+        "kernel": kernel,
+        "kernel_compiles": counters.get("vliw.kernel_compiles", 0),
+        "kernel_cache_hits": counters.get("vliw.kernel_cache_hits", 0),
+        "kernel_loop_iterations": counters.get(
+            "vliw.kernel_loop_iterations", 0
+        ),
+        "kernel_escapes": counters.get("vliw.kernel_escapes", 0),
+        "kernel_share": (kernel / total) if total else 0.0,
     }
 
 
@@ -358,100 +358,6 @@ def measure_serve_load(
     return section
 
 
-#: the benchmarks whose execute phase is dominated by one hot self-loop
-#: — the shape the batch tier exists for, and the set the differential
-#: section reports a dedicated aggregate over
-LOOP_DOMINATED_BENCHMARKS = ("equake", "pwalk", "pchase")
-
-
-def measure_batch_differential(
-    benchmarks: Optional[List[str]] = None,
-    scheme: str = "smarq",
-    scale: float = 1.0,
-    repeats: int = 3,
-    hot_threshold: int = 20,
-) -> Dict[str, object]:
-    """Kill-switch differential for the batch replay tier.
-
-    A cross-BENCH-file execute-phase ratio confounds the batch tier's
-    effect with everything else that changed between the two files —
-    most of all the box they were measured on. This section removes the
-    machine from the equation: each cell is simulated ``repeats`` times
-    with batching live and ``repeats`` times under ``SMARQ_BATCH_WIDTH=0``
-    (the kill switch, which restores the pre-batch interp→py→vec
-    promotion ladder), the two legs interleaved in one process on one
-    day. The ratio of median execute-phase times is the tier's speedup
-    with everything else held fixed.
-    """
-    import os
-
-    benchmarks = list(benchmarks or LOOP_DOMINATED_BENCHMARKS)
-    repeats = max(1, repeats)
-    env_key = "SMARQ_BATCH_WIDTH"
-    prior = os.environ.get(env_key)
-    cells: Dict[str, Dict[str, object]] = {}
-    try:
-        for benchmark in benchmarks:
-            legs: Dict[str, List[Dict[str, object]]] = {"off": [], "on": []}
-            for _ in range(repeats):
-                # Interleaved on/off pairs: slow drift within the run
-                # (thermal, background load) hits both legs equally.
-                for mode in ("off", "on"):
-                    if mode == "off":
-                        os.environ[env_key] = "0"
-                    elif prior is None:
-                        os.environ.pop(env_key, None)
-                    else:
-                        os.environ[env_key] = prior
-                    legs[mode].append(
-                        _time_cell(benchmark, scheme, scale, hot_threshold)
-                    )
-            cell: Dict[str, object] = {}
-            for mode, samples in legs.items():
-                execs = [s["phases"]["execute"] for s in samples]
-                walls = [s["wall_s"] for s in samples]
-                best = min(samples, key=lambda s: s["phases"]["execute"])
-                cell[mode] = {
-                    "execute_s": _median(execs),
-                    "wall_s": _median(walls),
-                    "spread": {"execute_s": _spread(execs)},
-                    "backends": _backend_summary(best["counters"]),
-                }
-            off_exec = cell["off"]["execute_s"]
-            on_exec = cell["on"]["execute_s"]
-            if on_exec:
-                cell["execute_ratio"] = off_exec / on_exec
-            cells[f"{benchmark}/{scheme}"] = cell
-    finally:
-        if prior is None:
-            os.environ.pop(env_key, None)
-        else:
-            os.environ[env_key] = prior
-
-    def _aggregate(names: List[str]) -> Optional[float]:
-        off = sum(
-            cells[f"{b}/{scheme}"]["off"]["execute_s"] for b in names
-        )
-        on = sum(cells[f"{b}/{scheme}"]["on"]["execute_s"] for b in names)
-        return (off / on) if on else None
-
-    section: Dict[str, object] = {
-        "scale": scale,
-        "scheme": scheme,
-        "repeats": repeats,
-        "benchmarks": benchmarks,
-        "cells": cells,
-        "aggregate_execute_ratio": _aggregate(benchmarks),
-    }
-    loop_dominated = [
-        b for b in benchmarks if b in LOOP_DOMINATED_BENCHMARKS
-    ]
-    if loop_dominated:
-        section["loop_dominated_benchmarks"] = loop_dominated
-        section["loop_dominated_execute_ratio"] = _aggregate(loop_dominated)
-    return section
-
-
 def run_perf(config: Optional[PerfConfig] = None) -> Dict[str, object]:
     """Measure every configured cell (plus the end-to-end figures path)."""
     config = config or PerfConfig()
@@ -490,13 +396,10 @@ def run_perf(config: Optional[PerfConfig] = None) -> Dict[str, object]:
             best["backends"] = _backend_summary(best["counters"])
             cells[f"{benchmark}/{scheme}"] = best
 
-    from repro.sim.replay_backends import batch_flavor
-
     payload: Dict[str, object] = {
         "bench_schema": BENCH_SCHEMA_VERSION,
         "created_unix": int(time.time()),
         "python": platform.python_version(),
-        "batch_flavor": batch_flavor(),
         "config": {
             "benchmarks": list(config.benchmarks),
             "schemes": list(config.schemes),
@@ -634,15 +537,10 @@ def render_summary(payload: Dict[str, object]) -> str:
         )
         backends = cell.get("backends")
         be_note = (
-            f", vec {backends['vec_share']:.0%}"
-            if backends and backends["vec_share"]
+            f", kernel {backends['kernel_share']:.0%}"
+            if backends and backends.get("kernel_share")
             else ""
         )
-        if backends and backends.get("batch_share"):
-            be_note += (
-                f", batch {backends['batch_share']:.0%}"
-                f" ({backends.get('batch_flavor', 'pure')})"
-            )
         lines.append(
             f"  {key:<18} {cell['wall_s']:7.3f}s{spread}  "
             f"(opt {p['optimize']:.3f}s, exec {p['execute']:.3f}s, "
@@ -673,27 +571,6 @@ def render_summary(payload: Dict[str, object]) -> str:
                 f"serve: warm vs cold CLI             : "
                 f"{serve_load['warm_vs_cli']:.1f}x throughput"
             )
-    diff = payload.get("batch_differential")
-    if diff:
-        lines.append(
-            f"batch kill-switch differential (scale {diff['scale']}, "
-            f"{diff['scheme']}):"
-        )
-        for key in sorted(diff["cells"]):
-            cell = diff["cells"][key]
-            share = cell["on"]["backends"].get("batch_share", 0.0)
-            lines.append(
-                f"  {key:<18} exec {cell['off']['execute_s']:.3f}s off -> "
-                f"{cell['on']['execute_s']:.3f}s on  "
-                f"({cell.get('execute_ratio', 0.0):.2f}x, "
-                f"batch share {share:.0%})"
-            )
-        agg = diff.get("aggregate_execute_ratio")
-        if agg:
-            lines.append(f"  aggregate execute   : {agg:.2f}x")
-        loop_agg = diff.get("loop_dominated_execute_ratio")
-        if loop_agg:
-            lines.append(f"  loop-dominated agg  : {loop_agg:.2f}x")
     speedup = payload.get("speedup")
     if speedup:
         lines.append("speedup vs baseline:")

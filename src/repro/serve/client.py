@@ -228,6 +228,7 @@ class RemoteEngine:
         memo = stats.get("memo", {})
         engine = stats.get("engine", {})
         translate = stats.get("translate", {})
+        backends = stats.get("backends", {})
         lines = [
             "Server statistics",
             "=================",
@@ -250,5 +251,10 @@ class RemoteEngine:
             f"({engine.get('simulated_runs', 0)} simulated)",
             f"translation cache     : {translate.get('hits', 0)} hits / "
             f"{translate.get('misses', 0)} misses",
+            f"replay backends       : {backends.get('interp', 0)} interp / "
+            f"{backends.get('kernel', 0)} kernel "
+            f"({backends.get('kernel_compiles', 0)} compiles, "
+            f"{backends.get('kernel_loop_iterations', 0)} looped, "
+            f"{backends.get('kernel_escapes', 0)} escapes)",
         ]
         return "\n".join(lines)

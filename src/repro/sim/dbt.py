@@ -235,9 +235,9 @@ class DbtSystem:
         while not interp.exited and steps_budget > 0:
             pc = interp.pc
             if runtime.has_translation(pc):
-                # Batched dispatch: a self-looping region may commit up
-                # to SMARQ_BATCH_WIDTH back-edge iterations inside one
-                # call (each accounted exactly like a scalar commit —
+                # Looped dispatch: a self-looping region may commit
+                # several back-edge iterations inside one kernel call
+                # (each accounted exactly like a single commit —
                 # the budget math below is the scalar loop's, applied
                 # ``batched`` extra times), then returns the final
                 # execution's outcome for normal policy handling.

@@ -1,314 +1,74 @@
-"""Tiered replay backends compiled from the numeric replay IR.
+"""The replay kernel compiled from the numeric replay IR.
 
-Four tiers execute a hot trace's functional replay (selected by
-``SMARQ_REPLAY_BACKEND`` or by per-trace promotion, see
+A hot trace's functional replay runs on one of two paths (selected by
+per-trace promotion or ``SMARQ_REPLAY_BACKEND``, see
 :mod:`repro.sim.vliw`):
 
 ``interp``
     the simulator's generic dispatch loop over the compiled trace — the
     oracle, not compiled here;
-``py``
-    :func:`compile_py` — a straight-line Python function generated from
-    the IR: inlined 64-bit ALU arithmetic, little-endian memory access
-    with undo logging, and the adapter's hardware events lowered to
-    direct scalar model calls (dynamic escapes fall back to the
-    ``on_mem_op``/``on_rotate``/``on_amov`` callbacks);
-``vec``
-    :func:`compile_vec` — the alias hardware is **simulated statically at
-    compile time** over the IR's event stream (every queue/ALAT/bit-mask
-    operand is trace-static), reducing each region execution to register
-    locals, guarded address computation, and the irreducible runtime
-    residue: pairwise address-overlap tests (pruned when two addresses
-    provably share a base register) plus constant hardware-stat deltas
-    and a precomputed event fingerprint at each exit. Anything the
-    static model cannot decide — a bounds violation, a possible alias
-    overlap — returns :data:`FALLBACK` and the caller rolls back and
-    re-executes on the ``py`` tier, which is exact by construction; the
-    kernel itself never touches adapter state.
-``batch``
-    :func:`compile_batch` — the vec residue wrapped in an iteration
-    loop: when a region's commit exit is a back-edge into itself, up to
-    ``SMARQ_BATCH_WIDTH`` consecutive iterations run inside one kernel
-    call, amortizing the per-execution call/plan/outcome ceremony. A
-    columnar prefilter (numpy when the optional ``[perf]`` extra is
-    installed, ``array``-module columns otherwise — see
-    :func:`batch_flavor`) proves the leading iterations' guards and
-    alias sweeps can't fire and runs them through an unguarded fast
-    body; any iteration that escapes instead trims the batch
-    (:data:`BATCH_TRIM`), rolls back its own undo slice, and re-runs on
-    the scalar ``py`` tier. Accounting is exact per iteration — N
-    batched commits are indistinguishable from N scalar executions.
+``kernel``
+    :func:`compile_vec` — one generated function per trace. The alias
+    hardware is **simulated statically at compile time** over the IR's
+    event stream (every queue/ALAT/bit-mask operand is trace-static), so
+    an execution reduces to register locals, guarded address computation
+    and the irreducible runtime residue: pairwise address-overlap tests
+    (pruned when two addresses provably share a base register) plus
+    constant hardware-stat deltas and a precomputed event fingerprint at
+    each exit. The body sits inside an iteration loop whose back edge is
+    the trace's structural loop exit
+    (:func:`repro.sim.replay_ir.loop_candidate`): a self-looping region
+    runs up to ``n`` consecutive iterations in one call, any other
+    region calls it with ``n=1``. Repetition is a wrapper around the
+    same body, not a second compiler. Anything the static model cannot
+    decide — a bounds violation, a possible alias overlap — *escapes*
+    (:data:`ESCAPE`): the caller rolls back the escaping iteration and
+    re-runs it once on ``interp``, which is exact by construction. The
+    kernel never touches adapter state.
 
 The module also owns the process-wide **replay artifact cache**: lowered
-IR and compiled backend functions are keyed by the region's translation
-key (content + config + hints), the adapter class, and the adapter's
+IR and the compiled kernel are keyed by the region's translation key
+(content + config + hints), the adapter class, and the adapter's
 :meth:`~repro.sim.schemes.HardwareAdapter.replay_config_key`, so the
 translation cache's content-identical region clones (one per repeat of a
-perf cell, for instance) stop re-generating identical replay code.
+perf cell, for instance) never re-generate identical replay code.
 Timing plans are deliberately *not* shared — they memoize per-region
 signature state and stay on the region object.
 """
 
 from __future__ import annotations
 
-import os
+import importlib.util
 import struct
-from array import array as _array
 from collections import OrderedDict
 from typing import Callable, List, Optional, Tuple
 
-from repro.hw.exceptions import AliasException
 from repro.sim import replay_ir as R
-
-try:  # numpy is an optional [perf] extra — never required
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised via SMARQ_BATCH_PURE
-    _np = None
 
 _MASK64 = (1 << 64) - 1
 _HIGH = 1 << 63
-_TOP = 1 << 64
-
-#: shared empty required-target set for ALAT store checks
-_EMPTY_TARGETS = frozenset()
 
 _U64 = struct.Struct("<Q")
 
-#: sentinel returned by a vec kernel when a runtime fact escapes its
-#: static model; the caller rolls back and re-runs the ``py`` tier
-FALLBACK = (-2, -1, None)
-
-#: exit-kind sentinel in a batch kernel's result tuple: the current
-#: iteration hit a guard/sweep escape mid-flight; the caller rolls back
-#: the iteration's undo slice and re-runs it on a scalar tier
-BATCH_TRIM = -2
-
-#: force the pure-Python (array-module) batch prefilter even when numpy
-#: is importable (read at each compile_batch call)
-_BATCH_PURE_ENV = "SMARQ_BATCH_PURE"
+#: exit kind in a kernel result: the current iteration escaped the
+#: static model; the caller rolls back the iteration's undo slice and
+#: re-runs it on the interp dispatch loop
+ESCAPE = -2
 
 
 def batch_flavor() -> str:
-    """Which batch prefilter kernel flavor :func:`compile_batch` would
-    bind right now: ``"numpy"`` when the optional ``[perf]`` extra is
-    importable and ``SMARQ_BATCH_PURE=1`` is not set, else ``"pure"``
-    (``array``-module columns). Both flavors compute the same trim index
-    — the choice is a pure speed knob, differential-tested by the fuzz
-    ``backends`` oracle."""
-    if _np is not None and os.environ.get(_BATCH_PURE_ENV) != "1":
+    """``"numpy"`` when numpy is importable, else ``"pure"``.
+
+    The kernel uses neither. The string survives as a comparability
+    setting that ``perfbench/run.py`` records with every run (its
+    ``compare.py`` refuses to compare records whose settings differ).
+    ``find_spec`` answers without importing numpy.
+    """
+    if importlib.util.find_spec("numpy") is not None:
         return "numpy"
     return "pure"
 
 
-# ----------------------------------------------------------------------
-# py backend
-# ----------------------------------------------------------------------
-def _prologue(ir: R.ReplayIR) -> List[str]:
-    kinds = set()
-    for grp in ir.events:
-        for ev in grp:
-            kinds.add(ev[0])
-    stmts: List[str] = []
-    if kinds & R.QUEUE_EVENTS:
-        stmts += [
-            "q = ad.queue",
-            "q_chk = q.check_range",
-            "q_set = q.set_range",
-            "q_rot = q.rotate",
-            "q_amov = q.amov",
-        ]
-    if kinds & R.ALAT_EVENTS:
-        stmts += [
-            "al = ad.alat",
-            "al_sc = al.store_check_range",
-            "al_al = al.advanced_load_range",
-            "req_get = ad._required.get",
-        ]
-    if kinds & R.BITMASK_EVENTS:
-        stmts += [
-            "bf = ad.file",
-            "bf_chk = bf.check_range",
-            "bf_set = bf.set_range",
-        ]
-    dyn_kinds = {kind for kind, _obj in ir.dyn}
-    if "mem" in dyn_kinds:
-        stmts.append("on_mem_op = ad.on_mem_op")
-    if "rot" in dyn_kinds:
-        stmts.append("on_rotate = ad.on_rotate")
-    if "amov" in dyn_kinds:
-        stmts.append("on_amov = ad.on_amov")
-    return stmts
-
-
-def _event_stmts(ir: R.ReplayIR, evt: int, k: int, env: dict) -> List[str]:
-    """Statements servicing one op's lowered event group (``a`` holds the
-    memory-op address in the generated scope)."""
-    out: List[str] = []
-    for ev in ir.events[evt]:
-        e = ev[0]
-        if e == R.E_QCHK:
-            _, off, size, il, mi = ev
-            out.append(f"q_chk({off}, a, {size}, {bool(il)}, {mi})")
-        elif e == R.E_QSET:
-            _, off, size, il, mi = ev
-            out.append(f"q_set({off}, a, {size}, {bool(il)}, {mi})")
-        elif e == R.E_ROT:
-            out.append(f"q_rot({ev[1]})")
-        elif e == R.E_AMOV:
-            out.append(f"q_amov({ev[1]}, {ev[2]})")
-        elif e == R.E_ACHK:
-            _, size, il, mi = ev
-            env["EMPTY_TARGETS"] = _EMPTY_TARGETS
-            out.append(
-                f"al_sc(a, {size}, {bool(il)}, {mi}, "
-                f"req_get({mi}, EMPTY_TARGETS))"
-            )
-        elif e == R.E_AINS:
-            _, mi, size, il = ev
-            out.append(f"al_al({mi}, a, {size}, {bool(il)})")
-        elif e == R.E_BCHK:
-            _, mask, size, il, mi = ev
-            out.append(f"bf_chk({mask}, a, {size}, {bool(il)}, {mi})")
-        elif e == R.E_BSET:
-            _, idx, size, il, mi = ev
-            out.append(f"bf_set({idx}, a, {size}, {bool(il)}, {mi})")
-        else:  # E_DYN
-            kind, obj = ir.dyn[ev[1]]
-            name = f"I{k}"
-            env[name] = obj
-            if kind == "mem":
-                out.append(f"on_mem_op({name}, a)")
-            elif kind == "rot":
-                out.append(f"on_rotate({name})")
-            else:
-                out.append(f"on_amov({name})")
-    return out
-
-
-def compile_py(ir: R.ReplayIR) -> Callable:
-    """Generate the straight-line ``py`` replay function from the IR.
-
-    The generated function performs exactly the per-entry effects of the
-    planned dispatch loop in
-    :meth:`repro.sim.vliw.VliwSimulator._execute_planned` and returns
-    ``(idx, exit_kind, payload)`` where ``payload`` is the side-exit /
-    commit target pc, the program exit code, or the caught
-    :class:`~repro.hw.exceptions.AliasException`; ``idx`` is the index of
-    the last op whose effect ran (the replay signature's exit index).
-    Out-of-bounds accesses delegate to ``mcheck`` so the raised
-    :class:`~repro.sim.memory.MemoryFault` is byte-identical to the
-    accessor path's.
-    """
-    env: dict = {"A": AliasException, "ifb": int.from_bytes}
-    lines: List[str] = [
-        "def _replay(regs, data, msize, mcheck, ad, undo_append):",
-    ]
-    emit = lines.append
-    for stmt in _prologue(ir):
-        emit(f"    {stmt}")
-    emit("    i = -1")
-    emit("    try:")
-    pad = "        "
-
-    def emit_wrap(dest: int, expr: str) -> None:
-        emit(f"{pad}w = ({expr}) & {_MASK64}")
-        emit(f"{pad}regs[{dest}] = w - {_TOP} if w >= {_HIGH} else w")
-
-    for k, op in enumerate(ir.ops):
-        t = op[0]
-        if t == R.OP_ALU:
-            _, kind, d, a, b, imm = op
-            if kind == R.A_MOVI:
-                emit(f"{pad}regs[{d}] = {imm}")
-            elif kind == R.A_MOV:
-                emit(f"{pad}regs[{d}] = regs[{a}]")
-            elif kind == R.A_ADDI:
-                emit_wrap(d, f"regs[{a}] + {imm}")
-            elif kind == R.A_ADD:
-                emit_wrap(d, f"regs[{a}] + regs[{b}]")
-            elif kind == R.A_SUB:
-                emit_wrap(d, f"regs[{a}] - regs[{b}]")
-            elif kind == R.A_MUL:
-                emit_wrap(d, f"regs[{a}] * regs[{b}]")
-            elif kind == R.A_AND:
-                emit(f"{pad}regs[{d}] = regs[{a}] & regs[{b}]")
-            elif kind == R.A_OR:
-                emit(f"{pad}regs[{d}] = regs[{a}] | regs[{b}]")
-            elif kind == R.A_XOR:
-                emit(f"{pad}regs[{d}] = regs[{a}] ^ regs[{b}]")
-            elif kind == R.A_SHL:
-                emit_wrap(d, f"regs[{a}] << (regs[{b}] & 63)")
-            elif kind == R.A_SHR:
-                emit(
-                    f"{pad}regs[{d}] = (regs[{a}] & {_MASK64}) >> "
-                    f"(regs[{b}] & 63)"
-                )
-            elif kind == R.A_CMP:
-                emit(f"{pad}av = regs[{a}]")
-                emit(f"{pad}bv = regs[{b}]")
-                emit(f"{pad}regs[{d}] = (av > bv) - (av < bv)")
-            elif kind == R.A_FDIV:
-                emit(f"{pad}bv = regs[{b}]")
-                emit(f"{pad}regs[{d}] = regs[{a}] // bv if bv else 0")
-            elif kind == R.A_FMA:
-                emit_wrap(d, f"regs[{d}] + regs[{a}] * regs[{b}]")
-            else:  # A_DYN: raising closure, error timing preserved
-                env[f"f{k}"] = ir.dyn[d][1]
-                emit(f"{pad}f{k}(regs)")
-        elif t == R.OP_LD:
-            _, dreg, base, disp, size, evt = op
-            addr = f"regs[{base}] + {disp}" if disp else f"regs[{base}]"
-            emit(f"{pad}a = {addr}")
-            if evt is not None:
-                stmts = _event_stmts(ir, evt, k, env)
-                if stmts:
-                    emit(f"{pad}i = {k}")
-                    for stmt in stmts:
-                        emit(f"{pad}{stmt}")
-            emit(f"{pad}if a < 0 or a + {size} > msize: mcheck(a, {size})")
-            emit(f"{pad}regs[{dreg}] = ifb(data[a:a + {size}], 'little')")
-        elif t == R.OP_ST:
-            _, sreg, base, disp, size, evt = op
-            addr = f"regs[{base}] + {disp}" if disp else f"regs[{base}]"
-            emit(f"{pad}a = {addr}")
-            if evt is not None:
-                stmts = _event_stmts(ir, evt, k, env)
-                if stmts:
-                    emit(f"{pad}i = {k}")
-                    for stmt in stmts:
-                        emit(f"{pad}{stmt}")
-            emit(f"{pad}if a < 0 or a + {size} > msize: mcheck(a, {size})")
-            emit(f"{pad}undo_append((a, bytes(data[a:a + {size}])))")
-            mask = (1 << (8 * size)) - 1
-            emit(
-                f"{pad}data[a:a + {size}] = "
-                f"(regs[{sreg}] & {mask}).to_bytes({size}, 'little')"
-            )
-        elif t == R.OP_CBR:
-            _, code, a, b, pay = op
-            cmp_op = ("==", "!=", "<", ">=")[code]
-            rhs = f"regs[{b}]" if b is not None else "0"
-            emit(f"{pad}if regs[{a}] {cmp_op} {rhs}:")
-            emit(f"{pad}    return ({k}, {R.X_SIDE}, {ir.payloads[pay]!r})")
-        elif t == R.OP_BR:
-            emit(f"{pad}return ({k}, {R.X_BR}, {ir.payloads[op[1]]!r})")
-        elif t == R.OP_EXIT:
-            emit(f"{pad}return ({k}, {R.X_EXIT}, {ir.payloads[op[1]]!r})")
-        elif t == R.OP_EVT:
-            if op[1] is not None:
-                for stmt in _event_stmts(ir, op[1], k, env):
-                    emit(f"{pad}{stmt}")
-        # OP_NOP: no functional effect (timing plan accounts its slot)
-    emit(f"{pad}return ({len(ir.ops) - 1}, {R.X_FALL}, None)")
-    emit("    except A as e:")
-    emit(f"        return (i, {R.X_ALIAS}, e)")
-    exec(compile("\n".join(lines), "<vliw-replay-py>", "exec"), env)
-    return env["_replay"]  # type: ignore[return-value]
-
-
-# ----------------------------------------------------------------------
-# vec backend
-# ----------------------------------------------------------------------
 class _StaticHw:
     """Compile-time simulation of one adapter family's alias hardware.
 
@@ -317,7 +77,7 @@ class _StaticHw:
     rotation, eviction and the full stat stream can be resolved at
     compile time. The one runtime residue is pairwise address overlap;
     :meth:`check` returns the (address-local, size) pairs each check must
-    test, and the kernel falls back when any test fires (the ``py`` tier
+    test, and the kernel escapes when any test fires (the interp loop
     then reproduces the exact exception, ordering and partial stats).
     """
 
@@ -536,23 +296,74 @@ def _defer_wraps(ir: R.ReplayIR):
     return wraps - bad
 
 
-def _max_sweep(ir: R.ReplayIR, family: str, limit: int) -> int:
-    """Largest pair-sweep any check in ``ir`` will emit (dry run of the
-    static hardware simulation; addresses are irrelevant to the count).
-    Also returns 0 if any tracked access is wider than 8 bytes, which
-    the bloom prefilter's two-bucket probes cannot cover."""
-    hw = _StaticHw(family, limit)
-    widest = 0
-    biggest = 0
+
+#: pair count at/above which a sweep hides behind the bloom prefilter
+_BLOOM_SWEEP_MIN = 4
+
+
+def _scan(ir: R.ReplayIR, family, limit: int):
+    """One pass over the live ops: those up to the first unconditional
+    terminator (``OP_BR``/``OP_EXIT``; later ops are dead code).
+
+    Returns ``(hw, written, refs, rbw, sweep)``:
+
+    * ``hw`` — the static hardware simulation after one clean pass (its
+      stats are one full iteration's deltas), or None without hardware;
+    * ``written`` — the registers the pass defines, in first-write order;
+    * ``refs`` — every register the body reads or writes;
+    * ``rbw`` — the registers read before their first write, whose value
+      at iteration start matters;
+    * ``sweep`` — the longest alias pair sweep any check emits, or 0 when
+      a tracked access is wider than 8 bytes (the bloom prefilter's
+      two-bucket probes cannot cover it).
+    """
+    hw = _StaticHw(family, limit) if family else None
+    written: List[int] = []
+    written_set = set()
+    refs = set()
+    rbw = set()
+    widest = sweep = 0
+
+    def rd(reg) -> None:
+        refs.add(reg)
+        if reg not in written_set:
+            rbw.add(reg)
+
+    def wr(reg) -> None:
+        refs.add(reg)
+        if reg not in written_set:
+            written_set.add(reg)
+            written.append(reg)
+
     for k, op in enumerate(ir.ops):
         t = op[0]
-        if t == R.OP_LD or t == R.OP_ST:
+        evt = None
+        if t == R.OP_ALU:
+            kind, d, a, b = op[1], op[2], op[3], op[4]
+            if kind == R.A_FMA:
+                rd(d)
+            if kind != R.A_MOVI:
+                rd(a)
+                if b is not None:
+                    rd(b)
+            wr(d)
+        elif t == R.OP_LD:
+            rd(op[2])
+            wr(op[1])
             evt = op[5]
+        elif t == R.OP_ST:
+            rd(op[1])
+            rd(op[2])
+            evt = op[5]
+        elif t == R.OP_CBR:
+            rd(op[2])
+            if op[3] is not None:
+                rd(op[3])
         elif t == R.OP_EVT:
             evt = op[1]
-        else:
-            continue
-        if evt is None:
+        elif t == R.OP_BR or t == R.OP_EXIT:
+            break
+        if evt is None or hw is None:
             continue
         for ev in ir.events[evt]:
             e = ev[0]
@@ -580,85 +391,69 @@ def _max_sweep(ir: R.ReplayIR, family: str, limit: int) -> int:
                 hw.bm_set(ev[1], f"a{k}", ev[2], ev[3])
                 widest = max(widest, ev[2])
             if pairs:
-                biggest = max(biggest, len(pairs))
-    return 0 if widest > 8 else biggest
-
-
-#: pair count at/above which a sweep hides behind the bloom prefilter
-_BLOOM_SWEEP_MIN = 4
+                sweep = max(sweep, len(pairs))
+    return hw, written, refs, rbw, (0 if widest > 8 else sweep)
 
 
 class _ResidueEmitter:
-    """Codegen core shared by the ``vec`` and ``batch`` kernels.
+    """Emits one trace's kernel body.
 
-    Owns one body's emission state — register locals, symbolic address
-    identity, CSE value numbers, deferred wraps, bounds/sweep guards and
-    the static hardware simulation — and walks the IR emitting residue
-    statements into ``lines``. Exit sites are delegated to the caller's
-    ``exit_emit`` hook so the two kernels can disagree about what an
-    exit does (vec: write back + return; batch: additionally detect the
-    back-edge site and continue the iteration loop).
+    Owns the emission state — symbolic address identity, CSE value
+    numbers, deferred wraps, bounds/sweep guards and the static hardware
+    simulation — and walks the live IR emitting residue statements into
+    ``lines``. Every register local is bound above the iteration loop
+    (see :func:`compile_vec`), so the body only reads and assigns
+    locals; ``regs`` is written once, at the exit that leaves the call.
+    A runtime fact outside the static model ``break``s out of the
+    iteration loop into the escape epilogue.
 
-    ``fb`` is the statement executed when a runtime fact escapes the
-    static model (vec: ``return _FB``; batch guarded body: ``break`` out
-    of the iteration loop into the trim epilogue). ``guarded=False``
-    elides bounds guards, alias sweeps and the bloom prefilter entirely
-    — sound only when a prefilter has already validated every access of
-    the iterations the body will run (the batch fast body).
+    ``loop`` is the structural back-edge site ``(exit_idx, exit_kind)``
+    or None; ``carried`` the guest registers one iteration writes (the
+    loop-carried state a side exit or escape restores from ``prev``);
+    ``temps`` the scratch registers read before written, re-zeroed at
+    the back edge like the per-execution scratch file; ``per_iter`` the
+    static simulation after one full iteration, whose stats the exits
+    apply ``it`` times for the committed iterations.
     """
 
     __slots__ = (
         "ir", "adapter", "guest_count", "family", "hw", "bloom", "emit",
-        "pad", "fb", "guarded", "defer_ok", "bound", "written",
-        "written_set", "version", "syms", "rsym", "asizes", "guards",
-        "deferred_now", "cse", "exit_fps",
+        "pad", "defer_ok", "written", "written_set", "version", "syms",
+        "rsym", "asizes", "deferred_now", "cse", "exit_fps", "loop",
+        "carried", "temps", "per_iter",
     )
 
     def __init__(self, ir: R.ReplayIR, adapter, guest_count: int, family,
                  limit: int, bloom: bool, lines: List[str], pad: str,
-                 fb: str = "return _FB", guarded: bool = True,
-                 hoisted_sizes=None) -> None:
+                 loop, carried, temps, per_iter) -> None:
         self.ir = ir
         self.adapter = adapter
         self.guest_count = guest_count
         self.family = family
         self.hw = _StaticHw(family, limit) if family else None
-        self.bloom = bloom and guarded
+        self.bloom = bloom
         self.emit = lines.append
         self.pad = pad
-        self.fb = fb
-        self.guarded = guarded
         self.defer_ok = _defer_wraps(ir)
-        self.bound = set()  # registers with a live local
         self.written: List[int] = []  # registers written, in first-write order
         self.written_set = set()
         self.version: dict = {}  # register -> def count (symbolic addr identity)
         self.syms: dict = {}  # address local -> (base reg, base version, disp)
         self.rsym: dict = {}  # (base reg, base version, disp) -> address local
         self.asizes = set()  # (address local, size) pairs already guarded
-        # access sizes whose bounds-limit local is already in scope (the
-        # batch kernel hoists every mlim outside its iteration loop)
-        self.guards = set(hoisted_sizes) if hoisted_sizes else set()
         self.deferred_now = set()  # regs whose local holds a raw (unwrapped) value
         self.cse: dict = {}  # value-number key -> (reg, version at def, raw?)
         self.exit_fps: dict = {}
+        self.loop = loop
+        self.carried = carried
+        self.temps = temps
+        self.per_iter = per_iter
 
     # -- register locals -----------------------------------------------
-    def use(self, reg: int) -> str:
-        name = f"r{reg}"
-        if reg not in self.bound:
-            if reg < self.guest_count:
-                self.emit(f"{self.pad}{name} = regs[{reg}]")
-            else:
-                self.emit(f"{self.pad}{name} = 0")
-            self.bound.add(reg)
-        return name
-
     def define(self, reg: int) -> str:
         if reg not in self.written_set:
             self.written_set.add(reg)
             self.written.append(reg)
-        self.bound.add(reg)
         self.deferred_now.discard(reg)
         self.version[reg] = self.version.get(reg, 0) + 1
         return f"r{reg}"
@@ -676,7 +471,6 @@ class _ResidueEmitter:
         :func:`_defer_wraps` proved every use normalizes anyway."""
         emit = self.emit
         pad = self.pad
-        use = self.use
         version = self.version
         cse = self.cse
         want_defer = k in self.defer_ok
@@ -703,36 +497,33 @@ class _ResidueEmitter:
         if kind == R.A_MOVI:
             emit(f"{pad}{self.define(d)} = {imm}")
         elif kind == R.A_MOV:
-            src = use(a)
-            emit(f"{pad}{self.define(d)} = {src}")
+            emit(f"{pad}{self.define(d)} = r{a}")
         else:
             wrapped = kind in _WRAP_KINDS
             if kind == R.A_ADDI:
-                expr = f"{use(a)} + {imm}"
+                expr = f"r{a} + {imm}"
             elif kind == R.A_ADD:
-                expr = f"{use(a)} + {use(b)}"
+                expr = f"r{a} + r{b}"
             elif kind == R.A_SUB:
-                expr = f"{use(a)} - {use(b)}"
+                expr = f"r{a} - r{b}"
             elif kind == R.A_MUL:
-                expr = f"{use(a)} * {use(b)}"
+                expr = f"r{a} * r{b}"
             elif kind == R.A_AND:
-                expr = f"{use(a)} & {use(b)}"
+                expr = f"r{a} & r{b}"
             elif kind == R.A_OR:
-                expr = f"{use(a)} | {use(b)}"
+                expr = f"r{a} | r{b}"
             elif kind == R.A_XOR:
-                expr = f"{use(a)} ^ {use(b)}"
+                expr = f"r{a} ^ r{b}"
             elif kind == R.A_SHL:
-                expr = f"{use(a)} << ({use(b)} & 63)"
+                expr = f"r{a} << (r{b} & 63)"
             elif kind == R.A_SHR:
-                expr = f"({use(a)} & {_MASK64}) >> ({use(b)} & 63)"
+                expr = f"(r{a} & {_MASK64}) >> (r{b} & 63)"
             elif kind == R.A_CMP:
-                av, bv = use(a), use(b)
-                expr = f"({av} > {bv}) - ({av} < {bv})"
+                expr = f"(r{a} > r{b}) - (r{a} < r{b})"
             elif kind == R.A_FDIV:
-                av, bv = use(a), use(b)
-                expr = f"{av} // {bv} if {bv} else 0"
+                expr = f"r{a} // r{b} if r{b} else 0"
             else:  # A_FMA
-                expr = f"{use(d)} + {use(a)} * {use(b)}"
+                expr = f"r{d} + r{a} * r{b}"
             if wrapped and want_defer:
                 name = self.define(d)
                 emit(f"{pad}{name} = {expr}")
@@ -746,37 +537,27 @@ class _ResidueEmitter:
 
     # -- addresses and guards ------------------------------------------
     def emit_addr(self, k: int, base: int, disp: int, size: int) -> str:
-        """Access address for op ``k``, bounds-guarded in guarded mode.
+        """Bounds-guarded access address for op ``k``.
 
         Pre-masking folds the negative-address case into the upper-bound
         compare (a negative or wrapped address masks to a huge value):
-        one comparison per access instead of two.
+        one comparison per access instead of two. The ``mlim{size}``
+        limits are hoisted above the iteration loop.
         """
         keyt = (base, self.version.get(base, 0), disp)
         addr = self.rsym.get(keyt)
-        if addr is not None:
-            if self.guarded and (addr, size) not in self.asizes:
-                self.asizes.add((addr, size))
-                self._guard(addr, size)
-            return addr
-        bname = self.use(base)
-        addr = f"a{k}"
-        self.syms[addr] = keyt
-        self.rsym[keyt] = addr
-        if disp:
-            self.emit(f"{self.pad}{addr} = {bname} + {disp} & {_MASK64}")
-        else:
-            self.emit(f"{self.pad}{addr} = {bname} & {_MASK64}")
-        if self.guarded:
+        if addr is None:
+            addr = f"a{k}"
+            self.syms[addr] = keyt
+            self.rsym[keyt] = addr
+            if disp:
+                self.emit(f"{self.pad}{addr} = r{base} + {disp} & {_MASK64}")
+            else:
+                self.emit(f"{self.pad}{addr} = r{base} & {_MASK64}")
+        if (addr, size) not in self.asizes:
             self.asizes.add((addr, size))
-            self._guard(addr, size)
+            self.emit(f"{self.pad}if {addr} > mlim{size}: break")
         return addr
-
-    def _guard(self, addr: str, size: int) -> None:
-        if size not in self.guards:
-            self.guards.add(size)
-            self.emit(f"{self.pad}mlim{size} = msize - {size}")
-        self.emit(f"{self.pad}if {addr} > mlim{size}: {self.fb}")
 
     def bloom_add(self, addr: str, size: int) -> None:
         if not self.bloom:
@@ -791,13 +572,10 @@ class _ResidueEmitter:
             self.emit(f"{self.pad}_bm |= {lo}")
 
     def emit_sweep(self, addr: str, size: int, pairs) -> bool:
-        """Alias pair tests for one check; any runtime overlap escapes
-        via ``fb``. Pairs whose addresses share a base register resolve
-        statically: disjoint displacements drop the test, an unavoidable
-        overlap rejects vectorization (returns False). The unguarded
-        body emits nothing — its iterations are prefilter-certified."""
-        if not self.guarded:
-            return True
+        """Alias pair tests for one check; any runtime overlap escapes.
+        Pairs whose addresses share a base register resolve statically:
+        disjoint displacements drop the test, an unavoidable overlap
+        rejects the trace (returns False)."""
         syms = self.syms
         own = syms.get(addr)
         tests = []
@@ -811,7 +589,7 @@ class _ResidueEmitter:
             ):
                 d_own, d_p = own[2], p_sym[2]
                 if d_own < d_p + p_size and d_p < d_own + size:
-                    return False  # certain overlap: every run would FB
+                    return False  # certain overlap: every run would escape
                 continue  # certain disjoint: no runtime test needed
             tests.append(
                 f"({p_addr} < {addr} + {size} and {addr} < {p_addr} + {p_size})"
@@ -826,9 +604,9 @@ class _ResidueEmitter:
             if size > 1:
                 probe += f" or _bm >> ({addr} + {size - 1} >> 3 & 255) & 1"
             emit(f"{pad}if {probe}:")
-            emit(f"{pad}    if {chain}: {self.fb}")
+            emit(f"{pad}    if {chain}: break")
         else:
-            emit(f"{pad}if {chain}: {self.fb}")
+            emit(f"{pad}if {chain}: break")
         return True
 
     def emit_events(self, evt: Optional[int], addr: str) -> bool:
@@ -874,7 +652,7 @@ class _ResidueEmitter:
                 if not hw.bm_set(idx, addr, size, il):
                     return False
                 self.bloom_add(addr, size)
-            else:  # E_DYN: unreachable (ir.dyn rejected by the compilers)
+            else:  # E_DYN: unreachable (ir.dyn rejected by the compiler)
                 return False
         return True
 
@@ -882,8 +660,8 @@ class _ResidueEmitter:
     def fp_now(self):
         """Fingerprint of a clean execution reaching this point, in each
         adapter family's ``event_fingerprint()`` component order
-        (exception components are 0 by construction: kernels escape via
-        ``fb`` instead of raising)."""
+        (exception components are 0 by construction: the kernel escapes
+        instead of raising)."""
         hw = self.hw
         if hw is None:
             # no hardware events anywhere in the trace: replicate the
@@ -900,10 +678,12 @@ class _ResidueEmitter:
             return (s.get("inserts", 0), s.get("store_checks", 0), 0, 0)
         return (s.get("sets", 0), s.get("checks", 0), 0)
 
-    def stat_lines(self, indent: str) -> List[str]:
+    def stat_lines(self, indent: str, hw=None, times: str = "") -> List[str]:
         """Constant hardware-stat deltas of a clean execution reaching
-        the current exit site."""
-        hw = self.hw
+        the current exit site — or, given ``hw`` and ``times``, of
+        ``times`` full iterations."""
+        if hw is None:
+            hw = self.hw
         out: List[str] = []
         if hw is not None and hw.stats:
             target, fields = _STAT_TARGETS[self.family]
@@ -911,7 +691,7 @@ class _ResidueEmitter:
             for name in fields:
                 n = hw.stats.get(name, 0)
                 if n:
-                    out.append(f"{indent}_hs.{name} += {n}")
+                    out.append(f"{indent}_hs.{name} += {n}{times}")
             if self.family == "queue" and hw.max_live:
                 out.append(
                     f"{indent}if _hs.max_live < {hw.max_live}: "
@@ -933,11 +713,23 @@ class _ResidueEmitter:
                     out.append(f"{indent}regs[{reg}] = r{reg}")
         return out
 
+    def restore_lines(self, indent: str) -> List[str]:
+        """Leaving mid-iteration (side exit or escape): apply the ``it``
+        committed iterations' stat deltas and write back their state.
+        The current iteration's register effects are discarded."""
+        if self.loop is None:
+            return []  # never loops: ``it`` is always 0 here
+        inner = indent + "    "
+        body = self.stat_lines(inner, self.per_iter, " * it")
+        body += [f"{inner}regs[{reg}] = prev[{ix}]"
+                 for ix, reg in enumerate(self.carried)]
+        return [f"{indent}if it:"] + body if body else []
+
     # -- body walk ------------------------------------------------------
-    def walk(self, exit_emit) -> bool:
-        """Emit the whole residue body, delegating exit sites to
-        ``exit_emit(emitter, k, xkind, payload, commit, indent)``.
-        Returns False when the trace cannot be statically lowered."""
+    def walk(self) -> bool:
+        """Emit the body up to its first unconditional terminator (later
+        ops are dead). Returns False when the trace cannot be statically
+        lowered."""
         ir = self.ir
         emit = self.emit
         pad = self.pad
@@ -964,43 +756,76 @@ class _ResidueEmitter:
                             f"ifb(data[{addr}:{addr} + {size}], 'little')"
                         )
                 else:
-                    sname = self.use(vreg)
                     mask = (1 << (8 * size)) - 1
                     emit(
                         f"{pad}undo_append(({addr}, "
                         f"data[{addr}:{addr} + {size}]))"
                     )
                     if size == 8:
-                        emit(f"{pad}p64(data, {addr}, {sname} & {mask})")
+                        emit(f"{pad}p64(data, {addr}, r{vreg} & {mask})")
                     else:
                         emit(
                             f"{pad}data[{addr}:{addr} + {size}] = "
-                            f"({sname} & {mask}).to_bytes({size}, 'little')"
+                            f"(r{vreg} & {mask}).to_bytes({size}, 'little')"
                         )
             elif t == R.OP_CBR:
                 _, code, a, b, pay = op
                 cmp_op = ("==", "!=", "<", ">=")[code]
-                lhs = self.use(a)
-                rhs = self.use(b) if b is not None else "0"
-                emit(f"{pad}if {lhs} {cmp_op} {rhs}:")
-                self._exit(exit_emit, k, R.X_SIDE, ir.payloads[pay],
-                           False, pad + "    ")
+                rhs = f"r{b}" if b is not None else "0"
+                emit(f"{pad}if r{a} {cmp_op} {rhs}:")
+                self._exit(k, R.X_SIDE, ir.payloads[pay], pad + "    ")
             elif t == R.OP_BR:
-                self._exit(exit_emit, k, R.X_BR, ir.payloads[op[1]],
-                           True, pad)
+                self._exit(k, R.X_BR, ir.payloads[op[1]], pad)
+                return True
             elif t == R.OP_EXIT:
-                self._exit(exit_emit, k, R.X_EXIT, ir.payloads[op[1]],
-                           True, pad)
+                self._exit(k, R.X_EXIT, ir.payloads[op[1]], pad)
+                return True
             elif t == R.OP_EVT:
                 if not self.emit_events(op[1], "0"):
                     return False
             # OP_NOP: no functional effect
-        self._exit(exit_emit, len(ir.ops) - 1, R.X_FALL, None, True, pad)
+        self._exit(len(ir.ops) - 1, R.X_FALL, None, pad)
         return True
 
-    def _exit(self, exit_emit, k, xkind, payload, commit, indent) -> None:
+    def _exit(self, k: int, xkind: int, payload, indent: str) -> None:
+        """The one exit hook. A side exit leaves with the committed
+        iterations; the back edge continues while ``it < n``; any other
+        exit (a program exit — the only live commit of a trace without a
+        back edge) commits this first iteration."""
         self.exit_fps[(k, xkind)] = self.fp_now()
-        exit_emit(self, k, xkind, payload, commit, indent)
+        emit = self.emit
+        if xkind == R.X_SIDE:
+            for line in self.stat_lines(indent) + self.restore_lines(indent):
+                emit(line)
+            emit(f"{indent}return (it, mark, {k}, {xkind}, {payload!r})")
+            return
+        if (k, xkind) != self.loop:
+            for line in self.stat_lines(indent) + self.writeback_lines(indent):
+                emit(line)
+            emit(f"{indent}return (0, mark, {k}, {xkind}, {payload!r})")
+            return
+        # the back edge: normalize deferred guest locals (the next
+        # iteration's reads assume canonical values), re-zero the scratch
+        # registers it reads before writing, snapshot the committed state
+        # for a later side exit or escape, and loop
+        inner = indent + "    "
+        emit(f"{indent}it += 1")
+        emit(f"{indent}if it < n:")
+        for reg in self.written:
+            if reg in self.deferred_now and reg < self.guest_count:
+                emit(f"{inner}r{reg} = (r{reg} + {_HIGH} "
+                     f"& {_MASK64}) - {_HIGH}")
+        for reg in self.temps:
+            emit(f"{inner}r{reg} = 0")
+        if self.carried:
+            emit(f"{inner}prev = ({', '.join(f'r{r}' for r in self.carried)},)")
+        emit(f"{inner}continue")
+        # the call's last iteration: apply all ``it`` iterations' stats
+        for line in self.writeback_lines(indent):
+            emit(line)
+        for line in self.stat_lines(indent, self.per_iter, " * it"):
+            emit(line)
+        emit(f"{indent}return (it - 1, mark, {k}, {xkind}, {payload!r})")
 
 
 def _family_limit(adapter, family) -> int:
@@ -1013,35 +838,32 @@ def _family_limit(adapter, family) -> int:
     return 0
 
 
-def _vec_exit(em: _ResidueEmitter, k: int, xkind: int, payload,
-              commit: bool, indent: str) -> None:
-    emit = em.emit
-    for line in em.stat_lines(indent):
-        emit(line)
-    if commit:
-        for line in em.writeback_lines(indent):
-            emit(line)
-    emit(f"{indent}return ({k}, {xkind}, {payload!r})")
-
-
 def compile_vec(ir: R.ReplayIR, adapter, guest_count: int):
-    """Compile the vectorized kernel for one lowered trace.
+    """Compile the replay kernel for one lowered trace.
 
     Returns ``None`` when the trace cannot be statically lowered: a
     dynamic escape (unknown adapter/opcode), a hardware operand the
-    static model rejects (the ``py`` tier then reproduces the model's
+    static model rejects (the interp loop then reproduces the model's
     runtime error exactly), or a pair of accesses that provably always
-    overlap (the trace would fall back on every execution anyway).
-    Otherwise returns ``(fn, exit_fps)``: the kernel, with signature
-    ``(regs, data, msize, ad, undo_append)``, and a dict mapping each
+    overlap (the trace would escape on every execution anyway).
+    Otherwise returns ``(fn, exit_fps)``. ``exit_fps`` maps each
     ``(exit_idx, exit_kind)`` to the adapter event fingerprint of a
-    clean execution reaching that exit — precomputed so the caller can
-    skip the adapter's region-enter/exit bookkeeping entirely on this
-    tier. ``regs`` is the *guest* register file itself — scratch
-    registers live entirely in locals and guest registers are written
-    back only on commit-kind exits, so an abort or :data:`FALLBACK`
-    leaves it untouched (memory writes are undo-logged exactly like the
-    ``py`` tier and rolled back by the caller).
+    clean execution reaching that exit, so the caller skips the
+    adapter's region-enter/exit bookkeeping entirely.
+
+    The kernel's signature is ``(regs, data, msize, ad, undo_log, n)``
+    and it returns ``(iters, mark, exit_idx, exit_kind, payload)``:
+    ``iters`` back-edge iterations committed in full before the final
+    one (registers written back, memory kept, hardware-stat deltas
+    applied), ``mark`` the undo-log length at the final iteration's
+    start, and the final iteration's exit — with ``exit_kind ==``
+    :data:`ESCAPE` when it escaped and the caller must roll back
+    ``undo_log[mark:]`` and re-run it. ``regs`` is the *guest* register
+    file itself: scratch registers live in locals and guest registers
+    are written only at the exit that leaves the call. Every committed
+    iteration is indistinguishable from one execution exiting at the
+    back-edge site, so ``n`` iterations in one call report exactly what
+    ``n`` calls with ``n=1`` would.
     """
     if ir.dyn:
         return None
@@ -1049,40 +871,62 @@ def compile_vec(ir: R.ReplayIR, adapter, guest_count: int):
     if family == "dyn":
         return None
     limit = _family_limit(adapter, family)
+    per_iter, written, refs, rbw, sweep = _scan(ir, family, limit)
     # Bloom prefilter over 8-byte granules: when any sweep is long, every
     # tracked set also ORs its two bucket bits into ``_bm`` and long
     # sweeps probe their buckets first — disjoint accesses (the common
     # case) skip the whole pairwise or-chain. Sound because an overlap
     # implies a shared byte, whose granule is among the two buckets of
     # both accesses (all tracked accesses are <= 8 bytes wide here).
-    bloom = (
-        family is not None
-        and _max_sweep(ir, family, limit) >= _BLOOM_SWEEP_MIN
-    )
+    bloom = family is not None and sweep >= _BLOOM_SWEEP_MIN
     env: dict = {"ifb": int.from_bytes, "u64": _U64.unpack_from,
-                 "p64": _U64.pack_into, "_FB": FALLBACK}
+                 "p64": _U64.pack_into, "len": len}
+    # default args bind the helpers as locals (LOAD_FAST, not
+    # LOAD_GLOBAL, on every use); callers pass only the first six
     lines: List[str] = [
-        # default args bind the helpers as locals (LOAD_FAST, not
-        # LOAD_GLOBAL, on every use); callers pass only the first five
-        "def _replay_vec(regs, data, msize, ad, undo_append, "
-        "u64=u64, p64=p64, ifb=ifb, _FB=_FB):",
+        "def _kernel(regs, data, msize, ad, undo_log, n, "
+        "u64=u64, p64=p64, ifb=ifb, len=len):",
+        "    undo_append = undo_log.append",
     ]
+    sizes = sorted({op[4] for op in ir.ops if op[0] in (R.OP_LD, R.OP_ST)})
+    lines += [f"    mlim{size} = msize - {size}" for size in sizes]
+    # loop-carried register locals, bound once above the iteration loop
+    lines += [
+        f"    r{reg} = regs[{reg}]" if reg < guest_count else f"    r{reg} = 0"
+        for reg in sorted(refs)
+    ]
+    lines += ["    it = 0", "    while 1:", "        mark = len(undo_log)"]
     em = _ResidueEmitter(
-        ir, adapter, guest_count, family, limit, bloom, lines, "    "
+        ir, adapter, guest_count, family, limit, bloom, lines, "        ",
+        loop=R.loop_candidate(ir),
+        carried=[reg for reg in written if reg < guest_count],
+        temps=sorted(reg for reg in rbw if reg >= guest_count),
+        per_iter=per_iter,
     )
-    if not em.walk(_vec_exit):
+    if not em.walk():
         return None
-    exec(compile("\n".join(lines), "<vliw-replay-vec>", "exec"), env)
-    return env["_replay_vec"], em.exit_fps
+    # escape epilogue: a guard broke out mid-iteration
+    lines += em.restore_lines("    ")
+    lines.append(f"    return (it, mark, {ESCAPE}, {ESCAPE}, None)")
+    exec(compile("\n".join(lines), "<vliw-replay-kernel>", "exec"), env)
+    return env["_kernel"], em.exit_fps
 
 
-# ----------------------------------------------------------------------
-# batch backend
-# ----------------------------------------------------------------------
+# perfbench/spans.py wraps these two retired compiler names by attribute
+# and refuses to run without them. The simulator calls compile_vec only;
+# the two go when the benchmark's TARGETS list is next revised.
+def compile_py(ir: R.ReplayIR, adapter, guest_count: int):
+    return compile_vec(ir, adapter, guest_count)
+
+
+def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
+    return compile_vec(ir, adapter, guest_count)
+
+
 def loop_exit_for(ir: R.ReplayIR, entry_pc: int, fall_through):
     """The back-edge exit site of a self-looping region, or None.
 
-    The batch kernel bakes the *structural* candidate exit
+    The kernel bakes the *structural* candidate exit
     (:func:`repro.sim.replay_ir.loop_candidate`) — a pure function of
     the trace content, so content-identical region clones share one
     compiled kernel. Whether that exit actually re-enters **this**
@@ -1104,542 +948,6 @@ def loop_exit_for(ir: R.ReplayIR, entry_pc: int, fall_through):
     return None
 
 
-def _batch_affine(ir: R.ReplayIR, upto: int):
-    """Affine address analysis over the back-edge path ``ops[0..upto]``.
-
-    Works over the IR's columnar views (:func:`repro.sim.replay_ir
-    .columnar_views`). Tracks each register as ``entry(base) + offset``
-    (mod 2**64) where ``entry(base)`` is the register file value at
-    iteration start, or as a constant (``base is None``); anything else
-    — a loaded value, a product, a two-base sum — is unknown. Returns
-    ``(addr, state, touched)``: per-op address forms for every LD/ST on
-    the path, the final register state (whose self-affine entries give
-    per-iteration strides), and the set of written registers.
-    """
-    kindc, c1, c2, c3, c4, c5 = R.columnar_views(ir)
-    state: dict = {}  # reg -> (entry base reg | None, offset); absent = unknown
-    touched = set()
-    addr: dict = {}
-
-    def read(r):
-        if r in touched:
-            return state.get(r)
-        return (r, 0)
-
-    for k in range(upto + 1):
-        t = kindc[k]
-        if t == R.OP_ALU:
-            kind = c1[k]
-            d = c2[k]
-            if kind == R.A_MOVI:
-                nv = (None, c5[k] & _MASK64)
-            elif kind == R.A_MOV:
-                nv = read(c3[k])
-            elif kind == R.A_ADDI:
-                va = read(c3[k])
-                nv = None if va is None else (
-                    va[0], (va[1] + c5[k]) & _MASK64
-                )
-            elif kind == R.A_ADD or kind == R.A_SUB:
-                va = read(c3[k])
-                vb = read(c4[k])
-                if va is None or vb is None:
-                    nv = None
-                elif vb[0] is None:
-                    off = va[1] + vb[1] if kind == R.A_ADD else va[1] - vb[1]
-                    nv = (va[0], off & _MASK64)
-                elif kind == R.A_ADD and va[0] is None:
-                    nv = (vb[0], (vb[1] + va[1]) & _MASK64)
-                else:
-                    nv = None
-            else:
-                nv = None
-            touched.add(d)
-            if nv is None:
-                state.pop(d, None)
-            else:
-                state[d] = nv
-        elif t == R.OP_LD or t == R.OP_ST:
-            vb = read(c2[k])
-            addr[k] = None if vb is None else (
-                vb[0], (vb[1] + c3[k]) & _MASK64
-            )
-            if t == R.OP_LD:
-                d = c1[k]
-                touched.add(d)
-                state.pop(d, None)
-    return addr, state, touched
-
-
-def _prefilter_plan(ir: R.ReplayIR, family, limit: int, upto: int):
-    """Bounds and overlap conditions for the batch prefilter.
-
-    Dry-runs the static hardware simulation over the back-edge path to
-    recover every bounds guard and sweep pair the guarded body will
-    test, resolved to affine ``(base, offset, stride, width)`` forms.
-    Returns ``(bounds, pairs)`` — or ``None`` when any guarded address
-    is not loop-affine, in which case the batch kernel runs every
-    iteration through the guarded body (no fast body, no prefilter).
-    """
-    addr, state, touched = _batch_affine(ir, upto)
-
-    def stride(base):
-        if base is None or base not in touched:
-            return 0
-        v = state.get(base)
-        if v is not None and v[0] == base:
-            return v[1]
-        return None  # base is reset or clobbered: not strided
-
-    def resolve(k, width):
-        a = addr.get(k)
-        if a is None:
-            return None
-        s = stride(a[0])
-        if s is None:
-            return None
-        return (a[0], a[1], s, width)
-
-    hw = _StaticHw(family, limit) if family else None
-    bounds: List[tuple] = []
-    bset = set()
-    pairs: List[tuple] = []
-    pset = set()
-    for k in range(upto + 1):
-        op = ir.ops[k]
-        t = op[0]
-        if t == R.OP_LD or t == R.OP_ST:
-            ent = resolve(k, op[4])
-            if ent is None:
-                return None
-            if ent not in bset:
-                bset.add(ent)
-                bounds.append(ent)
-            evt = op[5]
-        elif t == R.OP_EVT:
-            evt = op[1]
-        else:
-            continue
-        if evt is None or hw is None:
-            continue
-        for ev in ir.events[evt]:
-            e = ev[0]
-            chk = None
-            if e == R.E_QCHK:
-                chk = hw.q_check(ev[1], ev[2], ev[3])
-                width = ev[2]
-            elif e == R.E_QSET:
-                hw.q_set(ev[1], k, ev[2], ev[3])
-            elif e == R.E_ROT:
-                hw.q_rotate(ev[1])
-            elif e == R.E_AMOV:
-                hw.q_amov(ev[1], ev[2])
-            elif e == R.E_ACHK:
-                chk = hw.alat_store_check(ev[1])
-                width = ev[1]
-            elif e == R.E_AINS:
-                hw.alat_insert(ev[1], k, ev[2], ev[3])
-            elif e == R.E_BCHK:
-                chk = hw.bm_check(ev[1], ev[2])
-                width = ev[2]
-            elif e == R.E_BSET:
-                hw.bm_set(ev[1], k, ev[2], ev[3])
-            else:  # E_DYN: the compiler rejected the trace already
-                return None
-            if chk:
-                own = resolve(k, width)
-                if own is None:
-                    return None
-                for pk, pwidth in chk:
-                    other = resolve(pk, pwidth)
-                    if other is None:
-                        return None
-                    key = (own, other)
-                    if key not in pset:
-                        pset.add(key)
-                        pairs.append(key)
-    return bounds, pairs
-
-
-def _a0_src(base, off: int) -> str:
-    """Source expression for an affine form's iteration-0 address."""
-    if base is None:
-        return f"{off & _MASK64}"
-    if off:
-        return f"regs[{base}] + {off} & {_MASK64}"
-    return f"regs[{base}] & {_MASK64}"
-
-
-def _prefilter_src(plan) -> Tuple[str, str]:
-    """Tuple-literal sources for the kernel's prefilter call."""
-    bounds, pairs = plan
-    bsrc = "".join(
-        f"({_a0_src(b, o)}, {s}, msize - {width}), "
-        for b, o, s, width in bounds
-    )
-    psrc = "".join(
-        f"({_a0_src(b1, o1)}, {s1}, {w1}, "
-        f"{_a0_src(b2, o2)}, {s2}, {w2}), "
-        for (b1, o1, s1, w1), (b2, o2, s2, w2) in pairs
-    )
-    return bsrc, psrc
-
-
-def _prefilter_pure(n: int, bounds, pairs) -> int:
-    """Pure-Python (``array``-module columns) batch prefilter.
-
-    Builds one unsigned-64 column of per-iteration addresses per
-    distinct ``(a0, stride)`` form and returns the first iteration index
-    at which any bounds or overlap condition fires (``n`` when none do).
-    All arithmetic is mod 2**64, matching the guarded body's masked
-    addresses; the unsigned-difference overlap test is exact because a
-    wrapped interval implies a bounds violation at the same iteration
-    (memory is far smaller than the address space).
-    """
-    cols: dict = {}
-
-    def col(a0, s):
-        c = cols.get((a0, s))
-        if c is None:
-            c = _array("Q", [(a0 + i * s) & _MASK64 for i in range(n)])
-            cols[(a0, s)] = c
-        return c
-
-    n_ok = n
-    for a0, s, lim in bounds:
-        if lim < 0:
-            return 0
-        c = col(a0, s)
-        for i in range(n_ok):
-            if c[i] > lim:
-                n_ok = i
-                break
-    for a0a, sa, wa, a0b, sb, wb in pairs:
-        ca = col(a0a, sa)
-        cb = col(a0b, sb)
-        for i in range(n_ok):
-            if (cb[i] - ca[i]) & _MASK64 < wa or (ca[i] - cb[i]) & _MASK64 < wb:
-                n_ok = i
-                break
-    return n_ok
-
-
-def _prefilter_np(n: int, bounds, pairs) -> int:
-    """numpy flavor of :func:`_prefilter_pure` (same result, columnar
-    uint64 ops; unsigned overflow wraps exactly like the mod-2**64
-    arithmetic the pure flavor spells out)."""
-    np = _np
-    idx = np.arange(n, dtype=np.uint64)
-    cols: dict = {}
-
-    def col(a0, s):
-        c = cols.get((a0, s))
-        if c is None:
-            c = np.uint64(a0) + idx * np.uint64(s)
-            cols[(a0, s)] = c
-        return c
-
-    bad = None
-    for a0, s, lim in bounds:
-        if lim < 0:
-            return 0
-        v = col(a0, s) > np.uint64(lim)
-        bad = v if bad is None else bad | v
-    for a0a, sa, wa, a0b, sb, wb in pairs:
-        ca = col(a0a, sa)
-        cb = col(a0b, sb)
-        v = ((cb - ca) < np.uint64(wa)) | ((ca - cb) < np.uint64(wb))
-        bad = v if bad is None else bad | v
-    if bad is None:
-        return n
-    hit = int(np.argmax(bad))  # first True, or 0 when none are set
-    return hit if bad[hit] else n
-
-
-def _batch_reg_scan(ir: R.ReplayIR):
-    """Registers a trace body touches: ``(refs, rbw)``.
-
-    ``refs`` is every register the emitted body can read or write (the
-    batch kernel binds each one to a loop-carried local above its
-    iteration loop); ``rbw`` holds the registers *read before their
-    first write* — the ones whose value at iteration start matters, so
-    scratch registers (``>= guest_count``) in it must be re-zeroed at
-    the back edge to match the scalar tiers' per-execution zero init.
-    """
-    refs: set = set()
-    rbw: set = set()
-    written: set = set()
-
-    def rd(r):
-        refs.add(r)
-        if r not in written:
-            rbw.add(r)
-
-    for op in ir.ops:
-        t = op[0]
-        if t == R.OP_ALU:
-            kind, d, a, b = op[1], op[2], op[3], op[4]
-            if kind == R.A_FMA:
-                rd(d)
-            if kind != R.A_MOVI:
-                rd(a)
-                if b is not None:
-                    rd(b)
-            refs.add(d)
-            written.add(d)
-        elif t == R.OP_LD:
-            rd(op[2])
-            refs.add(op[1])
-            written.add(op[1])
-        elif t == R.OP_ST:
-            rd(op[1])
-            rd(op[2])
-        elif t == R.OP_CBR:
-            rd(op[2])
-            if op[3] is not None:
-                rd(op[3])
-    return refs, rbw
-
-
-def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
-    """Compile the cross-iteration batched kernel for one lowered trace.
-
-    The batch tier amortizes the CPython per-execution floor: when a hot
-    region's commit exit re-enters the region itself (a back-edge), up
-    to ``n`` consecutive iterations run inside **one** kernel call — the
-    vec tier's residue body wrapped in an iteration loop. Register
-    locals are **loop-carried**: every referenced guest register is
-    bound once above the loop, the back-edge site only normalizes
-    deferred wraps in place (plus a ``prev`` snapshot tuple of the
-    committed state), and ``regs`` is written exactly once per kernel
-    call — at the exit that actually leaves the loop. Hardware-stat
-    deltas are likewise applied once per exit, multiplied by the number
-    of committed iterations, instead of per back-edge. Two bodies are
-    generated:
-
-    * a *guarded* body — the vec residue with every escape (``return
-      _FB``) replaced by ``break``: the iteration loop stops, committed
-      iterations stay committed, and the caller re-runs the broken
-      iteration on a scalar tier after rolling back its undo slice;
-    * an optional *fast* body with bounds guards, alias sweeps and the
-      bloom filter elided, used for the leading ``n_ok`` iterations a
-      columnar **prefilter** proved cannot fault: when every guarded
-      address is loop-affine (``base + i*stride`` mod 2**64 along the
-      back-edge path), per-iteration address columns — numpy arrays
-      when the optional ``[perf]`` extra is installed, ``array``-module
-      columns in pure Python (:func:`batch_flavor`) — are bounds- and
-      overlap-tested for the whole batch up front.
-
-    Returns ``None`` when the trace has no structural back-edge
-    candidate (:func:`repro.sim.replay_ir.loop_candidate`), the adapter
-    opts out (``replay_batch_legal``), or the static lowering rejects
-    the trace for the vec tier's reasons. Otherwise returns ``(fn,
-    exit_fps)``; the kernel signature is ``(regs, data, msize, ad,
-    undo_log, n)`` and it returns ``(iters, mark, exit_idx, exit_kind,
-    payload)``: ``iters`` back-edge iterations committed in full
-    (registers written back, memory kept, hardware-stat deltas applied),
-    ``mark`` the undo-log length at the final
-    iteration's start, and the final iteration's exit — with
-    ``exit_kind ==`` :data:`BATCH_TRIM` when a guard fired and the
-    caller must roll back ``undo_log[mark:]`` and re-run the final
-    iteration on a scalar tier. Every committed iteration is
-    indistinguishable from one scalar vec execution exiting at the
-    back-edge site — the exact-accounting contract the goldens and the
-    ``backends`` fuzz oracle pin.
-    """
-    if ir.dyn:
-        return None
-    if not getattr(adapter, "replay_batch_legal", False):
-        return None
-    family = _hw_family(ir)
-    if family == "dyn":
-        return None
-    cand = R.loop_candidate(ir)
-    if cand is None:
-        return None
-    ck, ckind = cand
-    limit = _family_limit(adapter, family)
-    bloom = (
-        family is not None
-        and _max_sweep(ir, family, limit) >= _BLOOM_SWEEP_MIN
-    )
-    pf = _prefilter_np if batch_flavor() == "numpy" else _prefilter_pure
-    env: dict = {"ifb": int.from_bytes, "u64": _U64.unpack_from,
-                 "p64": _U64.pack_into, "_pf": pf, "len": len}
-    lines: List[str] = [
-        "def _replay_batch(regs, data, msize, ad, undo_log, n, "
-        "u64=u64, p64=p64, ifb=ifb, _pf=_pf, len=len):",
-    ]
-    emit = lines.append
-    emit("    undo_append = undo_log.append")
-    # bounds-limit locals are loop-invariant: hoist them above the
-    # iteration loop (both bodies share them)
-    sizes = sorted({op[4] for op in ir.ops if op[0] in (R.OP_LD, R.OP_ST)})
-    for size in sizes:
-        emit(f"    mlim{size} = msize - {size}")
-    # loop-carried register locals: bind every referenced register once
-    # above the iteration loop. Exits restore/write back explicitly, so
-    # the back edge never touches ``regs`` at all.
-    refs, rbw = _batch_reg_scan(ir)
-    prebound = sorted(refs)
-    rbw_temps = sorted(r for r in rbw if r >= guest_count)
-    for reg in prebound:
-        if reg < guest_count:
-            emit(f"    r{reg} = regs[{reg}]")
-        else:
-            emit(f"    r{reg} = 0")
-    plan = _prefilter_plan(ir, family, limit, ck)
-    if plan is not None:
-        bounds_src, pairs_src = _prefilter_src(plan)
-        if bounds_src or pairs_src:
-            emit(f"    n_ok = _pf(n, ({bounds_src}), ({pairs_src}))")
-        else:
-            emit("    n_ok = n")
-    emit("    it = 0")
-    emit("    while 1:")
-    emit("        mark = len(undo_log)")
-
-    # per-body capture at the back-edge site: (guest regs written, in
-    # first-write order; hardware stats of one full iteration; max_live)
-    caps: dict = {}
-    done: set = set()
-
-    def mult_lines(pad: str, stats, max_live) -> List[str]:
-        """Stat deltas of ``it`` committed iterations, applied at once."""
-        out: List[str] = []
-        if stats:
-            target, fields = _STAT_TARGETS[family]
-            body = [f"{pad}_hs.{name} += {stats[name]} * it"
-                    for name in fields if stats.get(name)]
-            if body or max_live:
-                out.append(f"{pad}_hs = {target}")
-                out.extend(body)
-        if max_live:
-            out.append(f"{pad}if _hs.max_live < {max_live}: "
-                       f"_hs.max_live = {max_live}")
-        return out
-
-    def batch_exit(em: _ResidueEmitter, k: int, xkind: int, payload,
-                   commit: bool, indent: str) -> None:
-        e = em.emit
-        if id(em) in done:
-            # past the live back-edge site: this exit is dead code, but
-            # a dead CBR still needs a non-empty suite
-            e(f"{indent}pass")
-            return
-        if commit and k == ck and xkind == ckind:
-            # the back-edge site: normalize deferred locals to canonical
-            # signed form (the next iteration's reads — and any later
-            # exit's plain writeback — assume it), re-zero scratch
-            # registers the body reads before writing, snapshot the
-            # committed state for side-exit/trim restore, and loop
-            for reg in em.written:
-                if reg in em.deferred_now and reg < guest_count:
-                    e(f"{indent}r{reg} = (r{reg} + {_HIGH} "
-                      f"& {_MASK64}) - {_HIGH}")
-            for reg in rbw_temps:
-                e(f"{indent}r{reg} = 0")
-            wr = [r for r in em.written if r < guest_count]
-            hw = em.hw
-            stats = dict(hw.stats) if hw is not None else {}
-            max_live = (hw.max_live
-                        if hw is not None and family == "queue" else 0)
-            caps[id(em)] = (wr, stats, max_live)
-            if wr:
-                e(f"{indent}prev = ({', '.join(f'r{r}' for r in wr)},)")
-            e(f"{indent}it += 1")
-            e(f"{indent}if it < n:")
-            e(f"{indent}    continue")
-            # full batch: every iteration committed, locals canonical
-            for reg in wr:
-                e(f"{indent}regs[{reg}] = r{reg}")
-            for line in mult_lines(indent, stats, max_live):
-                e(line)
-            e(f"{indent}return (it - 1, mark, {k}, {xkind}, "
-              f"{payload!r})")
-            done.add(id(em))
-            return
-        for line in em.stat_lines(indent):
-            e(line)
-        if commit:
-            # the final iteration commits: write back what it defined so
-            # far (deferred-aware), then the rest of the loop-carried
-            # state (canonical by the back-edge invariant), then apply
-            # the committed iterations' stat deltas
-            for line in em.writeback_lines(indent):
-                e(line)
-            sofar = ",".join(str(r) for r in em.written
-                             if r < guest_count)
-            e(f"{indent}\x00REST:{sofar}")
-            e(f"{indent}\x00MULT")
-        else:
-            # a side exit discards the broken iteration's register
-            # effects: restore the last committed state and apply the
-            # committed iterations' stat deltas
-            e(f"{indent}\x00RESTORE")
-        e(f"{indent}return (it, mark, {k}, {xkind}, {payload!r})")
-
-    def patch(start: int, em: _ResidueEmitter) -> bool:
-        """Expand this body's exit placeholders against its back-edge
-        capture (unknown while the body was still being emitted)."""
-        cap = caps.get(id(em))
-        if cap is None:
-            return False
-        wr, stats, max_live = cap
-        i = start
-        while i < len(lines):
-            j = lines[i].find("\x00")
-            if j < 0:
-                i += 1
-                continue
-            indent, tag = lines[i][:j], lines[i][j + 1:]
-            if tag.startswith("REST:"):
-                sofar = {int(x) for x in tag[5:].split(",") if x}
-                repl = [f"{indent}regs[{r}] = r{r}" for r in wr
-                        if r not in sofar]
-            elif tag == "MULT":
-                body = mult_lines(indent + "    ", stats, max_live)
-                repl = [f"{indent}if it:"] + body if body else []
-            else:  # RESTORE
-                body = mult_lines(indent + "    ", stats, max_live)
-                body += [f"{indent}    regs[{r}] = prev[{ix}]"
-                         for ix, r in enumerate(wr)]
-                repl = [f"{indent}if it:"] + body if body else []
-            lines[i:i + 1] = repl
-            i += len(repl)
-        return True
-
-    if plan is not None:
-        emit("        if it < n_ok:")
-        f_start = len(lines)
-        fast = _ResidueEmitter(
-            ir, adapter, guest_count, family, limit, False, lines,
-            "            ", guarded=False, hoisted_sizes=sizes,
-        )
-        fast.bound |= refs
-        if not fast.walk(batch_exit) or not patch(f_start, fast):
-            return None
-    g_start = len(lines)
-    guarded = _ResidueEmitter(
-        ir, adapter, guest_count, family, limit, bloom, lines,
-        "        ", fb="break", hoisted_sizes=sizes,
-    )
-    guarded.bound |= refs
-    if not guarded.walk(batch_exit):
-        return None
-    # trim epilogue: a guard broke out mid-iteration — restore the last
-    # committed register state (memory rolls back in the caller via the
-    # undo slice) and report the trim
-    emit("    \x00RESTORE")
-    emit(f"    return (it, mark, {BATCH_TRIM}, {BATCH_TRIM}, None)")
-    if not patch(g_start, guarded):
-        return None
-    if plan is not None and caps[id(fast)][0] != caps[id(guarded)][0]:
-        return None  # defensive: bodies must agree on the carried state
-    exec(compile("\n".join(lines), "<vliw-replay-batch>", "exec"), env)
-    return env["_replay_batch"], guarded.exit_fps
-
-
 # ----------------------------------------------------------------------
 # process-wide replay artifact cache
 # ----------------------------------------------------------------------
@@ -1647,42 +955,30 @@ class ReplayArtifact:
     """Shareable replay code for one (trace content, hardware) identity.
 
     Holds everything that is a pure function of the lowered trace: the
-    numeric IR and the compiled ``py``/``vec``/``batch`` kernels. Timing
-    plans (signature memos, execution counts) are per-region and never
-    live here. ``vec_state``/``batch_state``: 0 untried, 1 compiled, -1
-    unavailable/disabled (non-lowerable trace, or demoted — vec after
-    repeated fallbacks, batch after repeated early trims).
-    ``batch_flavor`` records which prefilter kernel ("numpy"/"pure") the
-    batch function was compiled against, for `--stats` and perf reports.
+    numeric IR, the compiled kernel and its per-exit fingerprints
+    (``fps``). Timing plans (signature memos, execution counts) are
+    per-region and never live here. ``unavailable`` marks a trace that
+    gets no kernel: the static lowering rejects it, or it was demoted
+    after :data:`ESCAPE_LIMIT` costly escapes. ``guest_count`` is the
+    register-file size the kernel's writeback was compiled for.
     """
 
-    __slots__ = ("ir", "py_fn", "vec_fn", "vec_fps", "vec_state",
-                 "vec_fallbacks", "vec_guest_count", "batch_fn",
-                 "batch_fps", "batch_state", "batch_trims",
-                 "batch_guest_count", "batch_flavor")
+    __slots__ = ("ir", "fn", "fps", "unavailable", "escapes",
+                 "guest_count")
 
     def __init__(self) -> None:
         self.ir: Optional[R.ReplayIR] = None
-        self.py_fn: Optional[Callable] = None
-        self.vec_fn: Optional[Callable] = None
-        self.vec_fps: Optional[dict] = None
-        self.vec_state = 0
-        self.vec_fallbacks = 0
-        self.vec_guest_count = 0
-        self.batch_fn: Optional[Callable] = None
-        self.batch_fps: Optional[dict] = None
-        self.batch_state = 0
-        self.batch_trims = 0
-        self.batch_guest_count = 0
-        self.batch_flavor: Optional[str] = None
+        self.fn: Optional[Callable] = None
+        self.fps: Optional[dict] = None
+        self.unavailable = False
+        self.escapes = 0
+        self.guest_count = 0
 
 
-#: vec kernels falling back this many times are demoted to the py tier
-VEC_FALLBACK_LIMIT = 4
-
-#: batch kernels trimming early (under half the requested width) this
-#: many times are demoted back to the scalar tiers
-BATCH_TRIM_LIMIT = 4
+#: the one demotion rule: a trace whose kernel calls escape before
+#: committing half their requested iterations this many times runs on
+#: interp for good (with ``n=1`` every escape counts)
+ESCAPE_LIMIT = 4
 
 _CACHE_LIMIT = 256
 _artifacts: "OrderedDict[Tuple, ReplayArtifact]" = OrderedDict()

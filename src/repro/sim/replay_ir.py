@@ -4,18 +4,18 @@ A hot region's compiled trace (see :func:`repro.sim.vliw._compile_trace`)
 is lowered **once** into a flat, int-coded program: a list of op tuples
 positionally parallel to the trace, plus three side tables (adapter event
 groups, branch/exit payloads, and — only when an adapter or opcode cannot
-be lowered statically — dynamic escapes holding live objects). Backends
-never look at :class:`~repro.ir.instruction.Instruction` objects again:
+be lowered statically — dynamic escapes holding live objects). The
+kernel compiler never looks at :class:`~repro.ir.instruction.Instruction`
+objects again:
 
-* the ``py`` backend (:func:`repro.sim.replay_backends.compile_py`)
-  emits today's straight-line replay function from the IR;
-* the ``vec`` backend (:func:`repro.sim.replay_backends.compile_vec`)
-  statically simulates the alias hardware over the IR's event stream and
-  compiles the residue — register locals, guarded address computations,
-  bloom-prefiltered alias pair sweeps — into a kernel that falls back to
-  the ``py`` tier whenever a runtime fact (bounds violation, possible
-  alias overlap) escapes the static model;
-* the ``interp`` tier keeps using the trace directly (it is the oracle).
+* the kernel (:func:`repro.sim.replay_backends.compile_vec`) statically
+  simulates the alias hardware over the IR's event stream and compiles
+  the residue — register locals, guarded address computations,
+  bloom-prefiltered alias pair sweeps — into one function, looped at the
+  trace's structural back edge (:func:`loop_candidate`), that escapes to
+  ``interp`` whenever a runtime fact (bounds violation, possible alias
+  overlap) escapes the static model;
+* the ``interp`` path keeps using the trace directly (it is the oracle).
 
 The IR is serializable (:meth:`ReplayIR.to_payload` /
 :func:`ReplayIR.from_payload`) exactly when it contains no dynamic
@@ -29,14 +29,9 @@ the backends and :mod:`repro.sim.vliw` agree on one vocabulary.
 
 from __future__ import annotations
 
-from array import array
 from typing import List, Optional, Tuple
 
 from repro.ir.instruction import Instruction, Opcode
-
-_MASK64 = (1 << 64) - 1
-_HIGH = 1 << 63
-_TOP = 1 << 64
 
 # -- replay exit kinds (the signature vocabulary) -----------------------
 X_FALL = 0  # ran off the end of the trace
@@ -87,7 +82,7 @@ E_BCHK = 7  # (E_BCHK, mask, size, is_load, mem_index)       bitmask check
 E_BSET = 8  # (E_BSET, index, size, is_load, mem_index)      bitmask set
 E_DYN = 9  # (E_DYN, dyn_index)                              dynamic escape
 
-#: event kinds whose hardware family the vec backend simulates statically
+#: event kinds whose hardware family the kernel simulates statically
 QUEUE_EVENTS = frozenset((E_QCHK, E_QSET, E_ROT, E_AMOV))
 ALAT_EVENTS = frozenset((E_ACHK, E_AINS))
 BITMASK_EVENTS = frozenset((E_BCHK, E_BSET))
@@ -154,10 +149,6 @@ class ReplayIR:
             "ops": [enc(op) for op in self.ops],
             "events": [[enc(ev) for ev in grp] for grp in self.events],
             "payloads": list(self.payloads),
-            # Advisory batch-tier legality bits (additive; readers that
-            # predate the batch tier ignore the key, from_payload never
-            # requires it — everything here is re-derivable from the ops).
-            "batch": batch_legality(self),
         }
 
     @classmethod
@@ -199,68 +190,6 @@ def loop_candidate(ir: ReplayIR) -> Optional[Tuple[int, int]]:
         if t == OP_EXIT:
             return None
     return (len(ir.ops) - 1, X_FALL) if ir.ops else None
-
-
-def batch_legality(ir: ReplayIR) -> dict:
-    """Batch-tier legality bits for one trace (serialized in the payload).
-
-    ``family`` is the single hardware family the event stream touches
-    (``"dyn"`` marks dynamic escapes, which no compiled backend accepts);
-    ``loop`` is :func:`loop_candidate`'s ``[exit_idx, exit_kind]``;
-    ``legal`` folds both: a batch kernel can only be compiled from a
-    dyn-free trace with a structural back-edge candidate.
-    """
-    kinds = set()
-    for grp in ir.events:
-        for ev in grp:
-            kinds.add(ev[0])
-    if ir.dyn or E_DYN in kinds:
-        family: Optional[str] = "dyn"
-    elif kinds & QUEUE_EVENTS:
-        family = "queue"
-    elif kinds & ALAT_EVENTS:
-        family = "alat"
-    elif kinds & BITMASK_EVENTS:
-        family = "bitmask"
-    else:
-        family = None
-    cand = loop_candidate(ir)
-    return {
-        "legal": family != "dyn" and cand is not None,
-        "family": family,
-        "loop": None if cand is None else [cand[0], cand[1]],
-    }
-
-
-def columnar_views(ir: ReplayIR):
-    """Flat ``array``-module columns over the op tuples.
-
-    Returns ``(kind, f1, f2, f3, f4, f5)``: a signed-byte opcode column
-    plus five signed-64 operand columns positionally parallel to
-    ``ir.ops`` (op field ``j`` of op ``k`` is ``f{j}[k]``). ``None`` and
-    absent slots encode as ``-1`` — unambiguous for the same reason the
-    payload encoding is: which slots are live follows from the opcode.
-    Values outside the signed 64-bit range (a raw ``A_MOVI`` immediate)
-    are stored mod 2**64 as their signed wrap, which every consumer of
-    these columns (the batch tier's affine address analysis) works in
-    anyway. Batch prefilter construction scans these columns instead of
-    re-destructuring tuples on every pass.
-    """
-    n = len(ir.ops)
-    kind = array("b", bytes(n))
-    cols = [array("q", bytes(8 * n)) for _ in range(5)]
-    for k, op in enumerate(ir.ops):
-        kind[k] = op[0]
-        for j in range(1, len(op)):
-            v = op[j]
-            if v is None:
-                v = -1
-            else:
-                v &= _MASK64
-                if v >= _HIGH:
-                    v -= _TOP
-            cols[j - 1][k] = v
-    return (kind, cols[0], cols[1], cols[2], cols[3], cols[4])
 
 
 def _lower_alu(inst: Instruction, k: int, aux, dyn) -> Tuple:

@@ -67,14 +67,15 @@ class HardwareAdapter:
     skip_unannotated_loads = False
     skip_unannotated_stores = False
     timing_transparent = False
-    #: batch-tier contract (``docs/PERF.md``): when True, the adapter
+    #: looped-kernel contract (``docs/PERF.md``): when True, the adapter
     #: promises that executing N back-to-back iterations of one region
     #: through its *statically lowered* event stream (hardware state
-    #: resets on every region enter) is indistinguishable from N scalar
+    #: resets on every region enter) is indistinguishable from N single
     #: executions — true for any adapter whose ``lower_*_event`` hooks
-    #: are exact, since the batch kernel replays the same per-iteration
-    #: static simulation the vec tier does. Subclasses carrying hidden
-    #: cross-region state should opt out.
+    #: are exact, since every iteration replays the same static
+    #: simulation. Subclasses carrying hidden cross-region state should
+    #: opt out (their regions then call the kernel one iteration at a
+    #: time).
     replay_batch_legal = True
 
     def on_region_enter(self, region) -> None:
@@ -112,7 +113,7 @@ class HardwareAdapter:
     # ``None`` means the interaction cannot be expressed statically — the
     # lowering records a dynamic escape and backends call the
     # ``on_mem_op``/``on_rotate``/``on_amov`` callbacks above instead
-    # (correct for any adapter, but unavailable to the vectorized tier).
+    # (correct for any adapter, but unavailable to the compiled kernel).
     # An empty tuple means the op provably never touches the hardware
     # (backends elide it entirely). Any static lowering MUST produce
     # byte-identical state changes, stats, and exceptions.

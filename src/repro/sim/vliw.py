@@ -54,31 +54,34 @@ fully interpreted scoreboard loop. Both paths produce byte-identical
 :class:`RegionOutcome`/:class:`VliwStats` numbers — locked by
 ``tests/goldens/`` and ``tests/test_timing_plans.py``.
 
-Replay backends: the functional-replay half is itself tiered. A hot
+Replay paths: the functional-replay half runs on one of two paths. A hot
 trace is lowered once to the numeric replay IR
-(:mod:`repro.sim.replay_ir`) and executed by one of three backends from
-:mod:`repro.sim.replay_backends`:
+(:mod:`repro.sim.replay_ir`) and compiled once into one kernel
+(:func:`repro.sim.replay_backends.compile_vec`):
 
 * ``interp`` — the generic two-tuple dispatch loop below (the oracle);
-* ``py`` — a straight-line function generated from the IR (adopted at
-  :data:`_REPLAY_THRESHOLD` planned executions);
-* ``vec`` — a kernel that statically pre-simulates the alias hardware
-  over the IR's event stream and executes only the runtime residue
-  (register locals, guarded addresses, batched alias pair sweeps),
-  adopted at :data:`_VEC_THRESHOLD`; any runtime fact that escapes its
-  static model (bounds violation, possible alias overlap) falls back to
-  one exact ``py`` re-execution, and traces that keep falling back are
-  demoted for good.
+* ``kernel`` — statically pre-simulates the alias hardware over the IR's
+  event stream and executes only the runtime residue (register locals,
+  guarded addresses, batched alias pair sweeps), wrapped in an iteration
+  loop: a self-looping region commits up to :data:`_KERNEL_WIDTH`
+  back-edge iterations per call (never more than the caller's step
+  budget affords), any other region calls it for one iteration. It is
+  adopted at :data:`_KERNEL_THRESHOLD` planned executions, or at once
+  when the shared artifact already holds it. Any runtime fact that
+  escapes its static model (bounds violation, possible alias overlap)
+  rolls the escaping iteration back and re-runs it once, exactly, on
+  ``interp``; traces that keep escaping are demoted to ``interp`` for
+  good (:data:`~repro.sim.replay_backends.ESCAPE_LIMIT`).
 
-``SMARQ_REPLAY_BACKEND=interp|py|vec`` forces a tier for every region
-(the kill switch / oracle selector); per-trace promotion by execution
-count is the default. Lowered IR and compiled kernels are shared
-process-wide through the replay artifact cache keyed by the region's
-translation key (see ``region._replay_key``, attached by
-:mod:`repro.opt.pipeline`) so content-identical clones from the
-translation cache never recompile. All three backends produce
-byte-identical reports — locked by ``tests/test_replay_ir.py`` and the
-``backends`` fuzz oracle.
+``SMARQ_REPLAY_BACKEND=interp|kernel`` forces a path for every region
+(the kill switch / oracle selector; any other value is an error);
+per-trace promotion by execution count is the default. Lowered IR and
+compiled kernels are shared process-wide through the replay artifact
+cache keyed by the region's translation key (see ``region._replay_key``,
+attached by :mod:`repro.opt.pipeline`) so content-identical clones from
+the translation cache never recompile. Both paths produce byte-identical
+reports — locked by ``tests/test_replay_ir.py``,
+``tests/test_batch_replay.py`` and the ``backends`` fuzz oracle.
 """
 
 from __future__ import annotations
@@ -169,15 +172,22 @@ _CBR_CODE = {Opcode.BEQ: 0, Opcode.BNE: 1, Opcode.BLT: 2, Opcode.BGE: 3}
 #: interpreted scoreboard loop (read once per VliwSimulator construction)
 _NO_PLANS_ENV = "SMARQ_NO_TIMING_PLANS"
 
-#: backend selector — SMARQ_REPLAY_BACKEND=interp|py|vec|batch forces
-#: one replay tier for every region (read once per VliwSimulator
-#: construction); unset or unknown values select by per-trace promotion
+#: path selector — SMARQ_REPLAY_BACKEND=interp|kernel forces one replay
+#: path for every region (read once per VliwSimulator construction);
+#: unset selects by per-trace promotion, anything else is an error
 _BACKEND_ENV = "SMARQ_REPLAY_BACKEND"
+_BACKENDS = ("interp", "kernel")
 
-#: max iterations per batched kernel call (SMARQ_BATCH_WIDTH=0/1
-#: disables cross-iteration batching entirely)
-_BATCH_ENV = "SMARQ_BATCH_WIDTH"
-_BATCH_WIDTH_DEFAULT = 16
+#: planned executions of one trace before its kernel is compiled. A
+#: kernel costs ~8ms to generate and compile and saves ~70µs per
+#: execution over the dispatch loop, so one-shot and lukewarm regions
+#: never pay for codegen while hot regions (thousands of executions)
+#: amortize it at once; a first-execution compile measurably raised the
+#: warm service's tail latency (docs/PERF.md).
+_KERNEL_THRESHOLD = 16
+
+#: max back-edge iterations one kernel call runs at a self-looping region
+_KERNEL_WIDTH = 16
 
 #: scratch-register extension appended to the guest file per execution
 #: (a tuple so list.extend copies without allocating a fresh [0]*64)
@@ -185,7 +195,7 @@ _SCRATCH64 = (0,) * 64
 
 
 class _TimingPlan:
-    """Per-trace memoized cycle accounting and tiered replay.
+    """Per-trace memoized cycle accounting and kernel adoption.
 
     ``cycle_after[i]`` is the scoreboard cycle counter immediately after
     issue-accounting trace entry ``i`` (compiled lazily, once per trace,
@@ -194,51 +204,34 @@ class _TimingPlan:
     path never consult the array again — and, more importantly, never
     re-run the per-instruction scoreboard loop.
 
-    ``executions`` counts planned replays of the trace; once it reaches
-    :data:`_REPLAY_THRESHOLD` the generic two-tuple dispatch loop is
-    replaced by ``replay_fn``, the straight-line ``py`` backend compiled
-    from the trace's numeric IR (:func:`repro.sim.replay_backends
-    .compile_py`), and at :data:`_VEC_THRESHOLD` the ``vec`` kernel takes
-    over when the trace is statically lowerable. The thresholds keep
-    one-shot regions from paying the ~ms codegen cost; hot regions
-    execute hundreds of times and amortize it at once. ``artifact`` is
-    the process-wide shared :class:`~repro.sim.replay_backends
-    .ReplayArtifact` holding the lowered IR and compiled kernels
-    (content-identical region clones share one artifact; the plan itself
-    — signature memos, execution count — stays per-region).
+    ``executions`` counts planned replays of the trace; the kernel takes
+    over from the dispatch loop at :data:`_KERNEL_THRESHOLD`, or at once
+    when ``artifact`` — the process-wide shared
+    :class:`~repro.sim.replay_backends.ReplayArtifact` holding the
+    lowered IR and compiled kernel — already holds one
+    (content-identical region clones share one artifact; the plan
+    itself — signature memos, execution count — stays per-region).
     """
 
-    __slots__ = ("cycle_after", "signatures", "executions", "replay_fn",
-                 "artifact", "vec_outcomes", "batch_loop")
+    __slots__ = ("cycle_after", "signatures", "executions", "artifact",
+                 "outcomes", "loop")
 
     def __init__(self) -> None:
         self.cycle_after: Optional[List[int]] = None
         self.signatures: Dict[tuple, int] = {}
-        #: (exit_idx, exit_kind) -> shared RegionOutcome for the vec
-        #: tier, whose exits are static: every field of the outcome is a
-        #: pure function of the exit, so repeat executions return the
-        #: same (never-mutated) object without re-deriving anything.
-        self.vec_outcomes: Dict[tuple, RegionOutcome] = {}
+        #: (exit_idx, exit_kind) -> shared RegionOutcome of a kernel
+        #: exit, which is static: every field of the outcome is a pure
+        #: function of the exit, so repeat executions return the same
+        #: (never-mutated) object without re-deriving anything.
+        self.outcomes: Dict[tuple, RegionOutcome] = {}
         self.executions = 0
-        self.replay_fn: Optional[Callable] = None
         self.artifact: Optional[_backends.ReplayArtifact] = None
-        #: back-edge eligibility for the batch tier: 0 = not yet
-        #: computed, None = this region's commit exit is not a self
-        #: loop, else the (exit_idx, exit_kind) of the back-edge site
-        #: (per-region, unlike the shared artifact: only the region
-        #: whose entry pc matches the baked branch target self-loops)
-        self.batch_loop = 0
-
-
-#: planned executions of one trace before its py replay is adopted
-_REPLAY_THRESHOLD = 4
-
-#: planned executions of one trace before the vec kernel is adopted
-_VEC_THRESHOLD = 8
-
-#: planned executions of one trace before the batch kernel is adopted
-#: (only at back-edge dispatch sites, see VliwSimulator.execute_region_batch)
-_BATCH_THRESHOLD = 16
+        #: 0 until this plan adopts the kernel; then None when the
+        #: region does not self-loop, else the (exit_idx, exit_kind) of
+        #: its back edge (per-region, unlike the shared artifact: only
+        #: the region whose entry pc matches the baked branch target
+        #: self-loops)
+        self.loop = 0
 
 
 def _compile_timing(machine: MachineModel, trace) -> List[int]:
@@ -514,15 +507,16 @@ class VliwSimulator:
         self.stats = VliwStats()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._plans_enabled = os.environ.get(_NO_PLANS_ENV) != "1"
-        backend = os.environ.get(_BACKEND_ENV)
-        self._backend = (
-            backend if backend in ("interp", "py", "vec", "batch") else None
-        )
-        width = os.environ.get(_BATCH_ENV)
-        try:
-            self._batch_width = int(width) if width else _BATCH_WIDTH_DEFAULT
-        except ValueError:
-            self._batch_width = _BATCH_WIDTH_DEFAULT
+        backend = os.environ.get(_BACKEND_ENV) or None
+        if backend is not None and backend not in _BACKENDS:
+            # fail closed: a typo or a retired path name must not
+            # silently fall back to auto promotion
+            raise ValueError(
+                f"{_BACKEND_ENV}={backend!r} is not a replay path; "
+                f"expected one of {', '.join(_BACKENDS)}, or unset for "
+                f"per-trace promotion"
+            )
+        self._backend = backend
 
     # ------------------------------------------------------------------
     def execute_region(
@@ -554,17 +548,18 @@ class VliwSimulator:
         registers: List[int],
         steps_budget: int,
     ) -> Tuple[RegionOutcome, Optional[RegionOutcome], int]:
-        """Run the region, batching back-edge iterations when eligible.
+        """Run the region, looping back-edge iterations in the kernel
+        when the region self-loops.
 
         Returns ``(outcome, loop_outcome, batched)``: ``batched``
-        back-edge commits executed inside one batch kernel call (each
+        back-edge commits executed inside one kernel call (each
         identical to ``loop_outcome``, a shared commit RegionOutcome at
         the loop site) followed by ``outcome``, the final execution —
-        exactly what ``batched + 1`` scalar :meth:`execute_region` calls
-        would have produced. ``batched`` is 0 (and ``loop_outcome``
-        None) whenever the scalar path runs: batching disabled or not
-        yet promoted, no structural back-edge, a non-lowerable trace,
-        or ``steps_budget``/width affording fewer than two iterations.
+        exactly what ``batched + 1`` :meth:`execute_region` calls would
+        have produced. ``batched`` is 0 (and ``loop_outcome`` None)
+        whenever one iteration runs: the kernel not yet adopted, no
+        self-loop, a non-lowerable trace, an early exit, or
+        ``steps_budget`` affording a single iteration.
         """
         if self.tracer.active:
             start = time.perf_counter()
@@ -634,8 +629,9 @@ class VliwSimulator:
         trace, fall_through, ftrace, plan = self._trace_for(region, adapter)
         if self._plans_enabled and getattr(adapter, "timing_transparent", False):
             return self._execute_planned(
-                region, adapter, registers, trace, fall_through, ftrace, plan
-            )
+                region, adapter, registers, trace, fall_through, ftrace,
+                plan, 0,
+            )[0]
         return self._execute_interpreted(
             region, adapter, registers, trace, fall_through
         )
@@ -648,85 +644,112 @@ class VliwSimulator:
         steps_budget: int,
     ) -> Tuple[RegionOutcome, Optional[RegionOutcome], int]:
         trace, fall_through, ftrace, plan = self._trace_for(region, adapter)
-        if not (
-            self._plans_enabled
-            and getattr(adapter, "timing_transparent", False)
-        ):
-            return (
-                self._execute_interpreted(
-                    region, adapter, registers, trace, fall_through
-                ),
-                None,
-                0,
-            )
-        backend = self._backend
-        width = self._batch_width
-        if width >= 2 and (
-            backend == "batch"
-            or (backend is None and plan.executions + 1 >= _BATCH_THRESHOLD)
-        ):
-            art = plan.artifact
-            if art.batch_state >= 0:
-                fn = self._ensure_batch(
-                    region, trace, fall_through, plan, adapter,
-                    len(registers),
-                )
-                if fn is not None:
-                    # never run more iterations than the step budget
-                    # affords: the caller charges max(1, instructions)
-                    # guest steps per commit, exactly like scalar mode
-                    per_iter = max(1, plan.batch_loop[0] + 1)
-                    n = min(width, -(-steps_budget // per_iter))
-                    if n >= 2:
-                        return self._run_batch(
-                            region, adapter, registers, trace,
-                            fall_through, ftrace, plan, fn, n,
-                        )
-        return (
-            self._execute_planned(
+        if self._plans_enabled and getattr(adapter, "timing_transparent", False):
+            return self._execute_planned(
                 region, adapter, registers, trace, fall_through, ftrace,
-                plan,
+                plan, steps_budget,
+            )
+        return (
+            self._execute_interpreted(
+                region, adapter, registers, trace, fall_through
             ),
             None,
             0,
         )
 
-    def _ensure_batch(
-        self, region, trace, fall_through, plan: _TimingPlan, adapter,
-        guest_count,
-    ):
-        """The batch kernel for this plan's trace, or None when the
-        region is not a self-loop or the lowering rejects it."""
-        art = plan.artifact
-        if plan.batch_loop == 0:
-            ir = self._ensure_ir(region, trace, art, adapter)
-            plan.batch_loop = _backends.loop_exit_for(
-                ir, region.block.entry_pc, fall_through
-            )
-        if plan.batch_loop is None:
-            return None
-        fn = art.batch_fn
+    # ------------------------------------------------------------------
+    # Planned path: functional replay + memoized timing
+    # ------------------------------------------------------------------
+    def _execute_planned(
+        self,
+        region,
+        adapter,
+        registers: List[int],
+        trace,
+        fall_through,
+        ftrace,
+        plan: _TimingPlan,
+        steps_budget: int,
+    ) -> Tuple[RegionOutcome, Optional[RegionOutcome], int]:
+        """The kernel once adopted, else the dispatch loop. Returns the
+        :meth:`execute_region_batch` triple; a ``steps_budget`` of 0
+        runs a single iteration."""
+        fn = self._kernel_for(
+            region, trace, fall_through, plan, adapter, len(registers)
+        )
         if fn is None:
-            compiled = _backends.compile_batch(
-                self._ensure_ir(region, trace, art, adapter),
-                adapter,
-                guest_count,
+            return (
+                self._dispatch(
+                    region, adapter, registers, trace, fall_through, ftrace,
+                    plan,
+                ),
+                None,
+                0,
             )
-            if compiled is None:
-                art.batch_state = -1
-                return None
-            fn, art.batch_fps = compiled
-            art.batch_fn = fn
-            art.batch_state = 1
-            art.batch_guest_count = guest_count
-            art.batch_flavor = _backends.batch_flavor()
-            if self.tracer.active:
-                self.tracer.count("vliw.batch_compiles")
-        elif art.batch_guest_count != guest_count:
+        n = 1
+        loop = plan.loop
+        if loop is not None and steps_budget:
+            # never run more iterations than the budget affords: the
+            # caller charges max(1, instructions) guest steps per
+            # commit, exactly as for one-iteration calls
+            n = min(_KERNEL_WIDTH, -(-steps_budget // max(1, loop[0] + 1)))
+        return self._run_kernel(
+            region, adapter, registers, trace, fall_through, ftrace, plan,
+            fn, n,
+        )
+
+    def _kernel_for(
+        self, region, trace, fall_through, plan: _TimingPlan, adapter,
+        guest_count: int,
+    ):
+        """The kernel this execution runs, or None for the dispatch loop.
+
+        Compiles into the shared artifact at :data:`_KERNEL_THRESHOLD`
+        planned executions (at once when forced); a plan whose artifact
+        already holds a kernel adopts it on its first execution
+        (``vliw.kernel_cache_hits``: no codegen ran for it).
+        """
+        backend = self._backend
+        if backend == "interp":
             return None
+        art = plan.artifact
+        fn = art.fn
+        tracer = self.tracer
+        if fn is None:
+            if art.unavailable or (
+                backend is None and plan.executions + 1 < _KERNEL_THRESHOLD
+            ):
+                return None
+            if art.ir is None:
+                art.ir = _lower_trace(
+                    region.schedule.linear, trace, type(adapter)
+                )
+            compiled = _backends.compile_vec(art.ir, adapter, guest_count)
+            if compiled is None:
+                art.unavailable = True
+                return None
+            fn, art.fps = compiled
+            art.fn = fn
+            art.guest_count = guest_count
+            if tracer.active:
+                tracer.count("vliw.kernel_compiles")
+        elif art.guest_count != guest_count:
+            # compiled against a different guest register file size; the
+            # kernel hard-codes writeback bounds, so don't use it here
+            return None
+        elif plan.loop == 0 and tracer.active:
+            tracer.count("vliw.kernel_cache_hits")
+        if plan.loop == 0:
+            plan.loop = (
+                _backends.loop_exit_for(
+                    art.ir, region.block.entry_pc, fall_through
+                )
+                if getattr(adapter, "replay_batch_legal", False)
+                else None
+            )
         return fn
 
-    def _run_batch(
+    def _run_kernel(
         self,
         region,
         adapter,
@@ -748,67 +771,67 @@ class VliwSimulator:
         )
         loop_out: Optional[RegionOutcome] = None
         if iters:
-            # ``iters`` full back-edge commits ran inside the kernel:
-            # account each exactly as one scalar vec execution exiting
-            # at the loop site (the kernel already applied per-iteration
-            # hardware-stat deltas and register writebacks)
+            # ``iters`` full back-edge commits ran inside the call:
+            # account each exactly as one execution exiting at the loop
+            # site (the kernel already applied their hardware-stat
+            # deltas and register writebacks)
             plan.executions += iters
-            loop_out = self._batch_loop_outcome(region, trace, plan, iters)
+            loop_out = self._loop_outcome(region, trace, plan, iters)
             stats.regions_executed += iters
             stats.commits += iters
             stats.instructions += loop_out.instructions_executed * iters
             stats.total_cycles += loop_out.cycles * iters
             if active:
                 tracer.count("vliw.regions_executed", iters)
-                tracer.count("vliw.backend_batch", iters)
-                tracer.count("vliw.batch_iterations", iters)
-        if kind == _backends.BATCH_TRIM:
-            # the final iteration escaped the static model: roll back
-            # its own undo slice (committed iterations keep theirs) and
-            # re-run it exactly on the scalar py tier
+                tracer.count("vliw.backend_kernel", iters)
+                tracer.count("vliw.kernel_loop_iterations", iters)
+        if kind == _backends.ESCAPE:
+            # The final iteration escaped the static model (bounds
+            # violation, possible alias/store overlap): roll back its own
+            # undo slice (committed iterations keep theirs) and re-run it
+            # exactly on the dispatch loop, which reproduces exceptions,
+            # partial stats and partial effects byte-identically.
             for addr, old in reversed(undo_log[mark:]):
                 memory.write_bytes(addr, old)
-            if active:
-                tracer.count("vliw.batch_trims")
             if iters * 2 < n:
                 art = plan.artifact
-                art.batch_trims += 1
-                if art.batch_trims >= _backends.BATCH_TRIM_LIMIT:
-                    art.batch_state = -1  # keeps trimming early: demote
-            final = self._execute_planned(
-                region, adapter, registers, trace, fall_through, ftrace,
-                plan, prefer_py=True,
+                art.escapes += 1
+                if art.escapes >= _backends.ESCAPE_LIMIT:
+                    art.fn = None  # keeps escaping early: demote
+                    art.unavailable = True
+            if active:
+                tracer.count("vliw.kernel_escapes")
+            final = self._dispatch(
+                region, adapter, registers, trace, fall_through, ftrace, plan
             )
         else:
             plan.executions += 1
             stats.regions_executed += 1
             if active:
                 tracer.count("vliw.regions_executed")
-                tracer.count("vliw.backend_batch")
-            final = self._finish_vec(
+                tracer.count("vliw.backend_kernel")
+            final = self._finish_kernel(
                 region, undo_log[mark:], trace, fall_through, plan, idx,
-                kind, payload, fps=plan.artifact.batch_fps,
+                kind, payload,
             )
         return final, loop_out, iters
 
-    def _batch_loop_outcome(
+    def _loop_outcome(
         self, region, trace, plan: _TimingPlan, iters: int
     ) -> RegionOutcome:
         """The shared commit outcome at the plan's back-edge site (the
-        same object :meth:`_finish_vec` would memoize for a scalar vec
-        execution exiting there). Stats application is the caller's job
-        — it multiplies by the batch length."""
-        key = plan.batch_loop
+        same object :meth:`_finish_kernel` memoizes for an execution
+        exiting there). Stats application is the caller's job — it
+        multiplies by the iteration count."""
+        key = plan.loop
         tracer = self.tracer
-        out = plan.vec_outcomes.get(key)
+        out = plan.outcomes.get(key)
         if out is not None:
             if tracer.active:
                 tracer.count("vliw.plan_hits", iters)
             return out
         idx, exit_kind = key
-        signature = (
-            idx, exit_kind, plan.artifact.batch_fps.get(key, 0)
-        )
+        signature = (idx, exit_kind, plan.artifact.fps.get(key, 0))
         cycle = plan.signatures.get(signature)
         if cycle is None:
             cycle_after = plan.cycle_after
@@ -833,13 +856,116 @@ class VliwSimulator:
             next_pc=region.block.entry_pc,
             instructions_executed=idx + 1,
         )
-        plan.vec_outcomes[key] = out
+        plan.outcomes[key] = out
         return out
 
-    # ------------------------------------------------------------------
-    # Planned path: functional replay + memoized timing
-    # ------------------------------------------------------------------
-    def _execute_planned(
+    def _finish_kernel(
+        self,
+        region,
+        undo_log: List[Tuple[int, bytes]],
+        trace,
+        fall_through,
+        plan: _TimingPlan,
+        idx: int,
+        exit_kind: int,
+        payload,
+    ) -> RegionOutcome:
+        """Planned-path epilogue for a kernel execution that did not
+        escape.
+
+        The kernel already applied its static hardware-stat deltas and
+        wrote registers back (commit-kind exits only), and it never
+        raises aliases, so this skips the adapter region-enter/exit and
+        runtime fingerprint of the dispatch loop: the signature's
+        fingerprint component comes from the compiled artifact's
+        per-exit table and is identical to what the hardware models
+        would have produced on a clean run.
+        """
+        stats = self.stats
+        out = plan.outcomes.get((idx, exit_kind))
+        if out is not None:
+            # every outcome field is a pure function of the exit on this
+            # path, so repeats return the shared (never-mutated) object
+            if self.tracer.active:
+                self.tracer.count("vliw.plan_hits")
+            stats.instructions += out.instructions_executed
+            stats.total_cycles += out.cycles
+            if exit_kind == _X_SIDE:
+                memory = self.memory
+                for addr, old in reversed(undo_log):
+                    memory.write_bytes(addr, old)
+                stats.side_exit_aborts += 1
+            else:
+                stats.commits += 1
+            return out
+
+        machine = self.machine
+        tracer = self.tracer
+        signature = (
+            idx, exit_kind, plan.artifact.fps.get((idx, exit_kind), 0)
+        )
+        cycle = plan.signatures.get(signature)
+        if cycle is None:
+            cycle_after = plan.cycle_after
+            if cycle_after is None:
+                cycle_after = plan.cycle_after = _compile_timing(
+                    machine, trace
+                )
+                tracer.count("vliw.plan_compiles")
+            cycle = (
+                cycle_after[idx] if idx >= 0 else machine.checkpoint_cycles
+            )
+            plan.signatures[signature] = cycle
+            tracer.count("vliw.plan_misses")
+        elif tracer.active:
+            tracer.count("vliw.plan_hits")
+        executed = idx + 1
+        cycles = cycle + 1
+        stats.instructions += executed
+
+        if exit_kind == _X_SIDE:
+            memory = self.memory
+            for addr, old in reversed(undo_log):
+                memory.write_bytes(addr, old)
+            cycles += machine.rollback_penalty
+            stats.side_exit_aborts += 1
+            stats.total_cycles += cycles
+            out = RegionOutcome(
+                status="side_exit",
+                cycles=cycles,
+                next_pc=payload,
+                instructions_executed=executed,
+            )
+            plan.outcomes[(idx, exit_kind)] = out
+            return out
+
+        exit_code = None
+        if exit_kind == _X_BR:
+            status = "commit"
+            next_pc = payload
+        elif exit_kind == _X_EXIT:
+            status = "exit"
+            next_pc = None
+            exit_code = payload
+        else:  # _X_FALL
+            status = "commit"
+            if fall_through is not None:
+                next_pc = fall_through
+            else:
+                next_pc = region.block.entry_pc + 1
+        stats.commits += 1
+        stats.total_cycles += cycles
+        out = RegionOutcome(
+            status=status,
+            cycles=cycles,
+            next_pc=next_pc,
+            exit_code=exit_code,
+            instructions_executed=executed,
+        )
+        plan.outcomes[(idx, exit_kind)] = out
+        return out
+
+    def _dispatch(
         self,
         region,
         adapter,
@@ -848,92 +974,22 @@ class VliwSimulator:
         fall_through,
         ftrace,
         plan: _TimingPlan,
-        prefer_py: bool = False,
     ) -> RegionOutcome:
+        """One execution on the generic dispatch loop (the oracle): the
+        functional half of :meth:`_execute_interpreted`, driving the
+        adapter's real hardware models, timed by signature lookup."""
+        machine = self.machine
         memory = self.memory
         stats = self.stats
         stats.regions_executed += 1
+        plan.executions += 1
         tracer = self.tracer
-        active = tracer.active
-        if active:
+        if tracer.active:
             tracer.count("vliw.regions_executed")
+            tracer.count("vliw.backend_interp")
 
         guest_count = len(registers)
         undo_log: List[Tuple[int, bytes]] = []
-
-        # -- replay tier selection -------------------------------------
-        # Auto mode promotes by per-plan execution count (dispatch loop
-        # -> py -> vec); SMARQ_REPLAY_BACKEND forces one tier, with vec
-        # degrading to py for traces the static lowering rejects.
-        # ``prefer_py`` (a trimmed batch re-running its final iteration)
-        # pins the py tier: it is exact by construction, and going
-        # through vec again would double-charge the fallback counters.
-        plan.executions += 1
-        art = plan.artifact
-        backend = self._backend
-        replay = plan.replay_fn
-        vec = None
-        if prefer_py:
-            if replay is None:
-                replay = self._ensure_py(region, trace, plan, adapter, tracer)
-        elif backend is None:
-            if art.vec_state >= 0 and plan.executions >= _VEC_THRESHOLD:
-                vec = self._ensure_vec(
-                    region, trace, plan, adapter, guest_count, tracer
-                )
-            if (
-                vec is None
-                and replay is None
-                and plan.executions >= _REPLAY_THRESHOLD
-            ):
-                replay = self._ensure_py(region, trace, plan, adapter, tracer)
-        elif backend == "vec" or backend == "batch":
-            if art.vec_state >= 0:
-                vec = self._ensure_vec(
-                    region, trace, plan, adapter, guest_count, tracer
-                )
-            if vec is None and replay is None:
-                replay = self._ensure_py(region, trace, plan, adapter, tracer)
-        elif backend == "py":
-            if replay is None:
-                replay = self._ensure_py(region, trace, plan, adapter, tracer)
-        else:  # forced "interp": always the dispatch loop below
-            replay = None
-
-        if vec is not None:
-            result = vec(
-                registers, memory.buffer, memory.size, adapter,
-                undo_log.append,
-            )
-            idx = result[0]
-            if idx != -2:
-                if active:
-                    tracer.count("vliw.backend_vec")
-                # vec never raises aliases (a possible overlap falls
-                # back) and never touches adapter state, so the whole
-                # region-enter/exit + fingerprint ceremony is skipped:
-                # the artifact carries each exit's fingerprint.
-                return self._finish_vec(
-                    region, undo_log, trace, fall_through, plan, idx,
-                    result[1], result[2],
-                )
-            # A runtime fact escaped the kernel's static model (bounds
-            # violation, possible alias/store overlap): roll back its
-            # buffered stores and re-run exactly on the py tier, which
-            # reproduces exceptions, partial stats and partial effects
-            # byte-identically. Registers and hardware state are still
-            # pristine (the kernel mutates them only on success).
-            for addr, old in reversed(undo_log):
-                memory.write_bytes(addr, old)
-            del undo_log[:]
-            art.vec_fallbacks += 1
-            if art.vec_fallbacks >= _backends.VEC_FALLBACK_LIMIT:
-                art.vec_state = -1  # always-escaping trace: stop retrying
-            if active:
-                tracer.count("vliw.vec_fallbacks")
-            if replay is None:
-                replay = self._ensure_py(region, trace, plan, adapter, tracer)
-
         outcome_status: Optional[str] = None
         next_pc: Optional[int] = None
         exit_code: Optional[int] = None
@@ -941,43 +997,9 @@ class VliwSimulator:
         alias_exc: Optional[AliasException] = None
         idx = -1
 
-        # The py tier and the dispatch loop drive the adapter's real
-        # hardware models; the region-enter reset the vec tier skips
-        # happens here (including after a vec fallback).
         adapter.on_region_enter(region)
         regs = list(registers)
         regs.extend(_SCRATCH64)
-
-        if replay is not None:
-            if active:
-                tracer.count("vliw.backend_py")
-            idx, exit_kind, payload = replay(
-                regs,
-                memory.buffer,
-                memory.size,
-                memory.check_bounds,
-                adapter,
-                undo_log.append,
-            )
-            if exit_kind == _X_SIDE:
-                outcome_status = "side_exit"
-                next_pc = payload
-            elif exit_kind == _X_BR:
-                outcome_status = "commit"
-                next_pc = payload
-            elif exit_kind == _X_EXIT:
-                outcome_status = "exit"
-                exit_code = payload
-            elif exit_kind == _X_ALIAS:
-                alias_exc = payload
-            return self._finish_planned(
-                region, adapter, registers, regs, guest_count, undo_log,
-                trace, fall_through, plan, idx, exit_kind, alias_exc,
-                outcome_status, next_pc, exit_code,
-            )
-        if active:
-            tracer.count("vliw.backend_interp")
-
         mem_read = memory.read
         mem_write = memory.write
         read_bytes = memory.read_bytes
@@ -1038,205 +1060,6 @@ class VliwSimulator:
         except AliasException as exc:
             alias_exc = exc
             exit_kind = _X_ALIAS
-
-        return self._finish_planned(
-            region, adapter, registers, regs, guest_count, undo_log,
-            trace, fall_through, plan, idx, exit_kind, alias_exc,
-            outcome_status, next_pc, exit_code,
-        )
-
-    def _ensure_ir(self, region, trace, art, adapter):
-        ir = art.ir
-        if ir is None:
-            ir = art.ir = _lower_trace(
-                region.schedule.linear, trace, type(adapter)
-            )
-        return ir
-
-    def _ensure_py(self, region, trace, plan: _TimingPlan, adapter, tracer):
-        """Adopt the straight-line py replay for this plan (compiling it
-        into the shared artifact on first need).
-
-        ``vliw.replay_compiles`` counts per-plan adoptions (the tier
-        transition the timing-plan tests pin); an adoption served from an
-        already-compiled shared artifact also counts
-        ``vliw.replay_cache_hits`` (no codegen ran).
-        """
-        art = plan.artifact
-        fn = art.py_fn
-        if fn is None:
-            fn = art.py_fn = _backends.compile_py(
-                self._ensure_ir(region, trace, art, adapter)
-            )
-        elif tracer.active:
-            tracer.count("vliw.replay_cache_hits")
-        plan.replay_fn = fn
-        if tracer.active:
-            tracer.count("vliw.replay_compiles")
-        return fn
-
-    def _ensure_vec(
-        self, region, trace, plan: _TimingPlan, adapter, guest_count, tracer
-    ):
-        """The vec kernel for this plan's trace, or None when the static
-        lowering rejects it (the caller then uses the py tier)."""
-        art = plan.artifact
-        fn = art.vec_fn
-        if fn is None:
-            compiled = _backends.compile_vec(
-                self._ensure_ir(region, trace, art, adapter),
-                adapter,
-                guest_count,
-            )
-            if compiled is None:
-                art.vec_state = -1
-                return None
-            fn, art.vec_fps = compiled
-            art.vec_fn = fn
-            art.vec_state = 1
-            art.vec_guest_count = guest_count
-            if tracer.active:
-                tracer.count("vliw.vec_compiles")
-        elif art.vec_guest_count != guest_count:
-            # compiled against a different guest register file size; the
-            # kernel hard-codes writeback bounds, so don't use it here
-            return None
-        return fn
-
-    def _finish_vec(
-        self,
-        region,
-        undo_log: List[Tuple[int, bytes]],
-        trace,
-        fall_through,
-        plan: _TimingPlan,
-        idx: int,
-        exit_kind: int,
-        payload,
-        fps: Optional[dict] = None,
-    ) -> RegionOutcome:
-        """Planned-path epilogue for a successful vec execution.
-
-        The kernel already applied its static hardware-stat deltas and
-        wrote registers back (commit-kind exits only), and it never
-        raises aliases, so this skips the adapter region-enter/exit and
-        runtime fingerprint of :meth:`_finish_planned`: the signature's
-        fingerprint component comes from the compiled artifact's
-        per-exit table and is identical to what the hardware models
-        would have produced on a clean run.
-        """
-        stats = self.stats
-        out = plan.vec_outcomes.get((idx, exit_kind))
-        if out is not None:
-            # every outcome field is a pure function of the exit on this
-            # tier, so repeats return the shared (never-mutated) object
-            if self.tracer.active:
-                self.tracer.count("vliw.plan_hits")
-            stats.instructions += out.instructions_executed
-            stats.total_cycles += out.cycles
-            if exit_kind == _X_SIDE:
-                memory = self.memory
-                for addr, old in reversed(undo_log):
-                    memory.write_bytes(addr, old)
-                stats.side_exit_aborts += 1
-            else:
-                stats.commits += 1
-            return out
-
-        machine = self.machine
-        tracer = self.tracer
-        if fps is None:
-            fps = plan.artifact.vec_fps
-        signature = (idx, exit_kind, fps.get((idx, exit_kind), 0))
-        cycle = plan.signatures.get(signature)
-        if cycle is None:
-            cycle_after = plan.cycle_after
-            if cycle_after is None:
-                cycle_after = plan.cycle_after = _compile_timing(
-                    machine, trace
-                )
-                tracer.count("vliw.plan_compiles")
-            cycle = (
-                cycle_after[idx] if idx >= 0 else machine.checkpoint_cycles
-            )
-            plan.signatures[signature] = cycle
-            tracer.count("vliw.plan_misses")
-        elif tracer.active:
-            tracer.count("vliw.plan_hits")
-        executed = idx + 1
-        cycles = cycle + 1
-        stats.instructions += executed
-
-        if exit_kind == _X_SIDE:
-            memory = self.memory
-            for addr, old in reversed(undo_log):
-                memory.write_bytes(addr, old)
-            cycles += machine.rollback_penalty
-            stats.side_exit_aborts += 1
-            stats.total_cycles += cycles
-            out = RegionOutcome(
-                status="side_exit",
-                cycles=cycles,
-                next_pc=payload,
-                instructions_executed=executed,
-            )
-            plan.vec_outcomes[(idx, exit_kind)] = out
-            return out
-
-        exit_code = None
-        if exit_kind == _X_BR:
-            status = "commit"
-            next_pc = payload
-        elif exit_kind == _X_EXIT:
-            status = "exit"
-            next_pc = None
-            exit_code = payload
-        else:  # _X_FALL
-            status = "commit"
-            if fall_through is not None:
-                next_pc = fall_through
-            else:
-                next_pc = region.block.entry_pc + 1
-        stats.commits += 1
-        stats.total_cycles += cycles
-        out = RegionOutcome(
-            status=status,
-            cycles=cycles,
-            next_pc=next_pc,
-            exit_code=exit_code,
-            instructions_executed=executed,
-        )
-        plan.vec_outcomes[(idx, exit_kind)] = out
-        return out
-
-    def _finish_planned(
-        self,
-        region,
-        adapter,
-        registers: List[int],
-        regs: List[int],
-        guest_count: int,
-        undo_log: List[Tuple[int, bytes]],
-        trace,
-        fall_through,
-        plan: _TimingPlan,
-        idx: int,
-        exit_kind: int,
-        alias_exc: Optional[AliasException],
-        outcome_status: Optional[str],
-        next_pc: Optional[int],
-        exit_code: Optional[int],
-    ) -> RegionOutcome:
-        """Shared planned-path epilogue: signature lookup + commit/abort.
-
-        Both replay tiers (the dispatch loop and the generated function)
-        funnel here, so the timing and outcome construction are spelled
-        once.
-        """
-        machine = self.machine
-        memory = self.memory
-        stats = self.stats
-        tracer = self.tracer
 
         # -- timing: signature lookup instead of the scoreboard loop ---
         signature = (idx, exit_kind, adapter.event_fingerprint())

@@ -16,11 +16,14 @@ quadratic, an allocator that re-heapifies) fails deterministically:
 4. hot regions are served by memoized timing plans — re-executions along
    a seen path are plan *hits*, and disabling the machinery with
    ``SMARQ_NO_TIMING_PLANS=1`` changes nothing observable in the report;
-5. every region execution lands on exactly one replay backend tier
-   (``vliw.backend_interp``/``py``/``vec`` partition
-   ``vliw.regions_executed``), the bench payload carries the schema-4
+5. every region execution lands on exactly one replay path
+   (``vliw.backend_interp``/``kernel`` partition
+   ``vliw.regions_executed``), the bench payload carries the schema-7
    per-cell backend summary, and the ``--fail-below`` regression gate
-   trips on low speedups and on missing baselines.
+   trips on low speedups and on missing baselines;
+6. replay codegen happens at most once per lowered trace on the cold
+   path, and a content-identical clone with a warm artifact runs the
+   kernel from its first execution without a single dispatch-loop run.
 """
 
 import pytest
@@ -150,27 +153,106 @@ class TestTimingPlansAreMemoized:
 
 class TestBackendTiersPartitionExecutions:
     def test_every_region_execution_is_counted_on_one_tier(self):
-        """The four backend counters must account for every region
-        entry: unplanned scoreboard runs and forced-interp dispatch are
-        ``interp``, generated straight-line runs are ``py``, kernel runs
-        are ``vec`` (a vec fallback re-runs and counts as ``py``), and
-        batched back-edge iterations are ``batch`` (one count per
-        iteration — each is a full region execution)."""
+        """The two path counters must account for every region entry:
+        unplanned scoreboard runs, the dispatch loop and escaped kernel
+        iterations (re-run on the dispatch loop) are ``interp``; kernel
+        runs are ``kernel``, one count per looped iteration (each is a
+        full region execution)."""
         _report, tracer = _run_cell()
         c = tracer.counters
         executed = c.get("vliw.regions_executed", 0)
-        tiers = (
-            c.get("vliw.backend_interp", 0)
-            + c.get("vliw.backend_py", 0)
-            + c.get("vliw.backend_vec", 0)
-            + c.get("vliw.backend_batch", 0)
+        paths = c.get("vliw.backend_interp", 0) + c.get(
+            "vliw.backend_kernel", 0
         )
         assert executed > 0
-        assert tiers == executed
-        # a hot cell must actually reach the vectorized tiers
-        assert (
-            c.get("vliw.backend_vec", 0) + c.get("vliw.backend_batch", 0)
-        ) > 0
+        assert paths == executed
+        # a hot cell must actually reach the kernel
+        assert c.get("vliw.backend_kernel", 0) > 0
+
+
+class TestKernelCodegen:
+    """One kernel per hot trace: codegen is paid once, then shared."""
+
+    def test_compiles_at_most_once_per_lowered_trace(self, monkeypatch):
+        import repro.sim.replay_backends as backends_mod
+        import repro.sim.vliw as vliw_mod
+
+        backends_mod.reset_artifact_cache()
+        calls = {"lower": 0, "compile": 0}
+
+        def counting(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            vliw_mod, "_lower_trace", counting("lower", vliw_mod._lower_trace)
+        )
+        for attr in ("compile_py", "compile_vec", "compile_batch"):
+            monkeypatch.setattr(
+                backends_mod, attr,
+                counting("compile", getattr(backends_mod, attr)),
+            )
+        try:
+            for benchmark in ("art", "equake", "pchase"):
+                for scheme in ("smarq", "itanium", "none"):
+                    _run_cell(benchmark, scheme)
+        finally:
+            backends_mod.reset_artifact_cache()
+        assert calls["compile"] >= 1
+        assert calls["compile"] <= calls["lower"], calls
+
+    def test_warm_clone_adopts_kernel_at_first_execution(self):
+        from repro.ir.instruction import Opcode, binop, branch, movi, store
+        from repro.ir.superblock import Superblock
+        from repro.opt.pipeline import OptimizationPipeline, OptimizerConfig
+        from repro.sched.machine import MachineModel
+        from repro.sim.memory import Memory
+        from repro.sim.replay_backends import reset_artifact_cache
+        from repro.sim.schemes import SmarqAdapter
+        from repro.sim.vliw import _KERNEL_THRESHOLD, VliwSimulator
+
+        machine = MachineModel()
+
+        def translate():
+            block = Superblock(entry_pc=0, instructions=[
+                movi(1, 0x100), movi(2, 9), store(1, 2),
+                binop(Opcode.ADD, 4, 2, 2), branch(Opcode.BR, 0),
+            ])
+            return OptimizationPipeline(machine, OptimizerConfig()).optimize(
+                block
+            )
+
+        reset_artifact_cache()
+        region_a, region_b = translate(), translate()
+        assert region_a is not region_b
+        assert region_a._replay_key == region_b._replay_key
+        tracer = Tracer()
+        sim = VliwSimulator(machine, Memory(4096), tracer=tracer)
+
+        def execute(region):
+            out = sim.execute_region(region, SmarqAdapter(64), [0] * 64)
+            assert out.status == "commit"
+
+        try:
+            for _ in range(_KERNEL_THRESHOLD):
+                execute(region_a)
+            cold = dict(tracer.counters)
+            assert cold.get("vliw.kernel_compiles") == 1
+            for _ in range(5):
+                execute(region_b)
+            warm = tracer.counters
+        finally:
+            reset_artifact_cache()
+
+        def delta(name):
+            return warm.get(name, 0) - cold.get(name, 0)
+
+        assert delta("vliw.backend_interp") == 0
+        assert delta("vliw.backend_kernel") == 5
+        assert delta("vliw.kernel_compiles") == 0
+        assert delta("vliw.kernel_cache_hits") == 1
 
 
 class TestBenchSchema:
@@ -179,26 +261,21 @@ class TestBenchSchema:
         from repro.sim.replay_backends import reset_artifact_cache
 
         # earlier tests may have warmed the process-wide artifact cache,
-        # which would hide the vec compile this asserts on
+        # which would hide the kernel compile this asserts on
         reset_artifact_cache()
         config = PerfConfig(
             benchmarks=["art"], schemes=["smarq"], scale=0.05,
             repeats=1, figures_scale=None,
         )
         payload = run_perf(config)
-        assert payload["bench_schema"] == 6
-        assert payload["batch_flavor"] in ("numpy", "pure")
+        assert payload["bench_schema"] == 7
+        assert "batch_flavor" not in payload
         cell = payload["cells"]["art/smarq"]
         backends = cell["backends"]
         executed = cell["counters"]["vliw.regions_executed"]
-        assert (
-            backends["interp"] + backends["py"] + backends["vec"]
-            + backends["batch"]
-            == executed
-        )
-        assert 0.0 < backends["vec_share"] + backends["batch_share"] <= 1.0
-        assert backends["vec_compiles"] + backends["batch_compiles"] >= 1
-        assert backends["batch_flavor"] == payload["batch_flavor"]
+        assert backends["interp"] + backends["kernel"] == executed
+        assert 0.0 < backends["kernel_share"] <= 1.0
+        assert backends["kernel_compiles"] >= 1
         # schema 6: per-phase spread is reported alongside the medians
         spread = cell["spread"]
         assert set(spread["phases"]) == set(cell["phases"])
@@ -267,17 +344,14 @@ class TestServeWarmState:
                 warm = client.stats()["counters"]
 
         assert warm["dbt.runs"] == 2 * len(self.BATCH)
-        for counter in ("translate.cache_misses", "vliw.vec_compiles"):
+        for counter in ("translate.cache_misses", "vliw.kernel_compiles"):
             assert warm.get(counter, 0) == cold.get(counter, 0), counter
-        # `vliw.replay_compiles` counts per-plan artifact adoptions, not
-        # codegen: on the repeat batch every adoption must be served by
-        # the process-wide artifact cache (no fresh lowering).
-        adopted = warm["vliw.replay_compiles"] - cold["vliw.replay_compiles"]
-        cache_hits = warm.get("vliw.replay_cache_hits", 0) - cold.get(
-            "vliw.replay_cache_hits", 0
+        # every kernel the repeat batch ran was adopted from the
+        # process-wide artifact cache (no fresh codegen)
+        assert warm.get("vliw.kernel_cache_hits", 0) > cold.get(
+            "vliw.kernel_cache_hits", 0
         )
-        assert adopted == cache_hits
-        # and the repeat batch really was served by those warm tiers
+        # and the repeat batch really was served by those warm caches
         assert (
             warm["translate.cache_hits"] > cold["translate.cache_hits"]
         )

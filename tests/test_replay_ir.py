@@ -1,18 +1,18 @@
-"""Replay IR and tiered-backend tests.
+"""Replay IR and replay-path tests.
 
 Hot traces lower once into the numeric replay IR
-(:mod:`repro.sim.replay_ir`) and execute on one of three backends
-(:mod:`repro.sim.replay_backends`): the generic dispatch loop
-(``interp``, the oracle), the generated straight-line function (``py``)
-and the statically pre-simulated kernel (``vec``). These tests pin:
+(:mod:`repro.sim.replay_ir`) and execute on one of two paths: the
+generic dispatch loop (``interp``, the oracle) or the one compiled
+kernel (:func:`repro.sim.replay_backends.compile_vec`). These tests pin:
 
 * the IR round-trips through its numeric payload encoding exactly when
   it carries no dynamic escapes;
-* all three tiers are byte-identical — outcome, registers, memory and
+* both paths are byte-identical — outcome, registers, memory and
   stats — for every shipped scheme and every exit kind;
-* auto mode promotes per-plan by execution count at the documented
-  thresholds, and ``SMARQ_REPLAY_BACKEND`` forces/kills tiers (with a
-  forced ``vec`` degrading to ``py`` for non-lowerable traces);
+* auto mode adopts the kernel per plan at the documented threshold (at
+  once when the shared artifact already holds it), and
+  ``SMARQ_REPLAY_BACKEND`` forces a path (a forced kernel degrades to
+  ``interp`` for non-lowerable traces) and rejects any other value;
 * re-optimization/blacklisting invalidation drops the shared artifacts
   along with the timing plans.
 """
@@ -188,7 +188,7 @@ class TestTierByteIdentity:
     def test_tiers_agree(self, monkeypatch, scheme, shape, make_region, r3):
         factory = SCHEME_FACTORIES[scheme]
         baseline = None
-        for tier in ("interp", "py", "vec"):
+        for tier in ("interp", "kernel"):
             runs, stats, _ = self.run_tier(
                 monkeypatch, tier, make_region, r3, factory
             )
@@ -206,7 +206,7 @@ class TestTierByteIdentity:
         }
         for (shape, make_region, r3), status in cases.items():
             runs, _, _ = self.run_tier(
-                monkeypatch, "vec", make_region, r3, NullAdapter
+                monkeypatch, "kernel", make_region, r3, NullAdapter
             )
             assert runs[0][0].status == status, shape
 
@@ -218,27 +218,24 @@ class TestTierPromotion:
         tracer = Tracer()
         sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
         assert sim._backend is None
-        total = vliw_mod._VEC_THRESHOLD + 2
+        total = vliw_mod._KERNEL_THRESHOLD + 2
         for i in range(1, total + 1):
             run_once(region, r3=0, adapter=NullAdapter(), sim=sim)
             plan = region._vliw_trace[6]
             assert plan.executions == i
-            if i < vliw_mod._REPLAY_THRESHOLD:
-                assert plan.replay_fn is None, i
-            if i < vliw_mod._VEC_THRESHOLD:
-                assert plan.artifact.vec_fn is None, i
+            if i < vliw_mod._KERNEL_THRESHOLD:
+                assert plan.artifact.fn is None, i
             else:
-                assert plan.artifact.vec_fn is not None, i
-        interp_runs = vliw_mod._REPLAY_THRESHOLD - 1
-        vec_runs = total - vliw_mod._VEC_THRESHOLD + 1
-        py_runs = total - interp_runs - vec_runs
+                assert plan.artifact.fn is not None, i
+        interp_runs = vliw_mod._KERNEL_THRESHOLD - 1
         assert tracer.counters.get("vliw.backend_interp", 0) == interp_runs
-        assert tracer.counters.get("vliw.backend_py", 0) == py_runs
-        assert tracer.counters.get("vliw.backend_vec", 0) == vec_runs
-        assert tracer.counters.get("vliw.vec_compiles", 0) == 1
+        assert tracer.counters.get("vliw.backend_kernel", 0) == (
+            total - interp_runs
+        )
+        assert tracer.counters.get("vliw.kernel_compiles", 0) == 1
 
     def test_shared_artifact_skips_recompilation(self):
-        """A content-identical clone adopts the cached kernels without
+        """A content-identical clone adopts the cached kernel without
         compiling again (the process-wide artifact cache)."""
         region_a = side_exit_region()
         region_b = side_exit_region()
@@ -246,13 +243,13 @@ class TestTierPromotion:
             pytest.skip("regions carry no translation key")
         tracer = Tracer()
         sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
-        for _ in range(vliw_mod._VEC_THRESHOLD):
+        for _ in range(vliw_mod._KERNEL_THRESHOLD):
             run_once(region_a, r3=0, adapter=NullAdapter(), sim=sim)
-        assert tracer.counters.get("vliw.vec_compiles", 0) == 1
-        for _ in range(vliw_mod._VEC_THRESHOLD):
+        assert tracer.counters.get("vliw.kernel_compiles", 0) == 1
+        for _ in range(vliw_mod._KERNEL_THRESHOLD):
             run_once(region_b, r3=0, adapter=NullAdapter(), sim=sim)
-        assert tracer.counters.get("vliw.vec_compiles", 0) == 1
-        assert tracer.counters.get("vliw.replay_cache_hits", 0) >= 1
+        assert tracer.counters.get("vliw.kernel_compiles", 0) == 1
+        assert tracer.counters.get("vliw.kernel_cache_hits", 0) == 1
 
 
 class TestBackendKillSwitch:
@@ -261,47 +258,31 @@ class TestBackendKillSwitch:
         region = side_exit_region()
         tracer = Tracer()
         sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
-        n = vliw_mod._VEC_THRESHOLD + 4
+        n = vliw_mod._KERNEL_THRESHOLD + 4
         for _ in range(n):
             run_once(region, r3=0, adapter=NullAdapter(), sim=sim)
         plan = region._vliw_trace[6]
-        assert plan.replay_fn is None
-        assert plan.artifact.vec_fn is None
+        assert plan.artifact.fn is None
         assert tracer.counters.get("vliw.backend_interp", 0) == n
-        assert tracer.counters.get("vliw.replay_compiles", 0) == 0
-        assert tracer.counters.get("vliw.vec_compiles", 0) == 0
-
-    def test_forced_py_adopts_immediately_and_never_vectorizes(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv("SMARQ_REPLAY_BACKEND", "py")
-        region = side_exit_region()
-        tracer = Tracer()
-        sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
-        run_once(region, r3=0, adapter=NullAdapter(), sim=sim)
-        plan = region._vliw_trace[6]
-        assert plan.replay_fn is not None
-        for _ in range(vliw_mod._VEC_THRESHOLD + 2):
-            run_once(region, r3=0, adapter=NullAdapter(), sim=sim)
-        assert plan.artifact.vec_fn is None
-        assert tracer.counters.get("vliw.backend_interp", 0) == 0
-        assert tracer.counters.get("vliw.vec_compiles", 0) == 0
+        assert tracer.counters.get("vliw.kernel_compiles", 0) == 0
 
     def test_forced_vec_adopts_immediately(self, monkeypatch):
-        monkeypatch.setenv("SMARQ_REPLAY_BACKEND", "vec")
+        monkeypatch.setenv("SMARQ_REPLAY_BACKEND", "kernel")
         region = side_exit_region()
         tracer = Tracer()
         sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
         run_once(region, r3=0, adapter=NullAdapter(), sim=sim)
         plan = region._vliw_trace[6]
-        assert plan.artifact.vec_fn is not None
-        assert tracer.counters.get("vliw.backend_vec", 0) == 1
+        assert plan.artifact.fn is not None
+        assert tracer.counters.get("vliw.backend_kernel", 0) == 1
 
-    def test_forced_vec_degrades_to_py_when_not_lowerable(self, monkeypatch):
+    def test_forced_kernel_degrades_to_interp_when_not_lowerable(
+        self, monkeypatch
+    ):
         """Traces the static lowering rejects (dynamic escapes, certain
-        overlaps) cannot vectorize; forced vec must silently run the py
-        tier instead."""
-        monkeypatch.setenv("SMARQ_REPLAY_BACKEND", "vec")
+        overlaps) get no kernel; a forced kernel must silently run the
+        dispatch loop instead."""
+        monkeypatch.setenv("SMARQ_REPLAY_BACKEND", "kernel")
         monkeypatch.setattr(
             backends_mod, "compile_vec", lambda *a, **k: None
         )
@@ -311,26 +292,34 @@ class TestBackendKillSwitch:
         out = run_once(region, r3=0, adapter=NullAdapter(), sim=sim)[0]
         assert out.status == "commit"
         plan = region._vliw_trace[6]
-        assert plan.artifact.vec_fn is None
-        assert plan.artifact.vec_state == -1
-        assert plan.replay_fn is not None
-        assert tracer.counters.get("vliw.backend_py", 0) == 1
-        assert tracer.counters.get("vliw.backend_vec", 0) == 0
+        assert plan.artifact.fn is None
+        assert plan.artifact.unavailable
+        assert tracer.counters.get("vliw.backend_interp", 0) == 1
+        assert tracer.counters.get("vliw.backend_kernel", 0) == 0
 
-    def test_unknown_value_falls_back_to_auto(self, monkeypatch):
-        monkeypatch.setenv("SMARQ_REPLAY_BACKEND", "jit")
-        sim = VliwSimulator(MACHINE, Memory(4096))
-        assert sim._backend is None
+    @pytest.mark.parametrize("value", ["jit", "py", "vec", "batch", "KERNEL"])
+    def test_unknown_value_raises(self, monkeypatch, value):
+        """A typo or a retired path name must fail closed, not silently
+        fall back to auto promotion (a forced-path CI leg would then
+        test nothing)."""
+        monkeypatch.setenv("SMARQ_REPLAY_BACKEND", value)
+        with pytest.raises(ValueError, match="SMARQ_REPLAY_BACKEND"):
+            VliwSimulator(MACHINE, Memory(4096))
+
+    @pytest.mark.parametrize("value", ["interp", "kernel"])
+    def test_known_values_accepted(self, monkeypatch, value):
+        monkeypatch.setenv("SMARQ_REPLAY_BACKEND", value)
+        assert VliwSimulator(MACHINE, Memory(4096))._backend == value
 
 
 class TestArtifactInvalidation:
     def test_invalidation_drops_plans_and_artifacts(self, monkeypatch):
-        monkeypatch.setenv("SMARQ_REPLAY_BACKEND", "vec")
+        monkeypatch.setenv("SMARQ_REPLAY_BACKEND", "kernel")
         region = side_exit_region()
         tracer = Tracer()
         sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
         run_once(region, r3=0, adapter=NullAdapter(), sim=sim)
-        assert tracer.counters.get("vliw.vec_compiles", 0) == 1
+        assert tracer.counters.get("vliw.kernel_compiles", 0) == 1
         replay_key = getattr(region, "_replay_key", None)
 
         assert invalidate_timing_plans(region) is True
@@ -343,14 +332,14 @@ class TestArtifactInvalidation:
         assert invalidate_timing_plans(region) is False
         out = run_once(region, r3=0, adapter=NullAdapter(), sim=sim)[0]
         assert out.status == "commit"
-        assert tracer.counters.get("vliw.vec_compiles", 0) == 2
+        assert tracer.counters.get("vliw.kernel_compiles", 0) == 2
 
     def test_runtime_reoptimization_invalidates(self):
         """The runtime invalidation hook is what re-optimize/blacklist
         call; its contract is pinned here via the public helper."""
         region = alias_region()
         sim = VliwSimulator(MACHINE, Memory(4096))
-        for _ in range(vliw_mod._VEC_THRESHOLD):
+        for _ in range(vliw_mod._KERNEL_THRESHOLD):
             run_once(region, r3=0x300, adapter=NullAdapter(), sim=sim)
         assert region._vliw_trace is not None
         assert invalidate_timing_plans(region) is True

@@ -9,8 +9,8 @@ contract:
 * distinct control-flow exits (and distinct adapter event streams) get
   distinct signatures, each with its own memoized cycle count;
 * outcomes are field-identical to the interpreted scoreboard loop, for
-  commits, side exits and alias aborts, on both replay tiers (generic
-  dispatch and the generated straight-line function);
+  commits, side exits and alias aborts, on both replay paths (generic
+  dispatch and the compiled kernel);
 * ``SMARQ_NO_TIMING_PLANS=1`` disables the machinery entirely;
 * re-translation invalidates the cached trace + plans.
 """
@@ -165,19 +165,23 @@ class TestPlannedMatchesInterpreted:
         self.assert_equivalent(region, 0x300, adapter_factory)
 
     def test_replay_codegen_tier(self, monkeypatch):
-        """Past the threshold the generated straight-line function takes
-        over; effects and plan bookkeeping must not change."""
-        monkeypatch.setattr(vliw_mod, "_REPLAY_THRESHOLD", 1)
+        """Past the threshold the compiled kernel takes over; effects and
+        plan bookkeeping must not change."""
+        monkeypatch.delenv("SMARQ_REPLAY_BACKEND", raising=False)
+        monkeypatch.setattr(vliw_mod, "_KERNEL_THRESHOLD", 2)
         region = side_exit_region()
+        region._replay_key = None  # private artifact: nothing to adopt
         tracer = Tracer()
         sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
-        baseline = run_once(region, r3=0, sim=sim)[0]  # dispatch tier
-        compiled = run_once(region, r3=0, sim=sim)[0]  # codegen tier
-        assert tracer.counters.get("vliw.replay_compiles") == 1
+        baseline = run_once(region, r3=0, sim=sim)[0]  # dispatch loop
+        compiled = run_once(region, r3=0, sim=sim)[0]  # kernel
+        assert tracer.counters.get("vliw.backend_interp") == 1
+        assert tracer.counters.get("vliw.backend_kernel") == 1
+        assert tracer.counters.get("vliw.kernel_compiles") == 1
         assert baseline == compiled
         plan = region._vliw_trace[6]
-        assert plan.replay_fn is not None
-        # the alias path through the generated function as well
+        assert plan.artifact.fn is not None
+        # the alias path through the kernel (and its escapes) as well
         alias = alias_region()
         for r3 in (0x100, 0x300, 0x100):
             self.assert_equivalent(alias, r3, lambda: SmarqAdapter(64))
