@@ -73,7 +73,10 @@ class ReportCache:
             self.root.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
+                # dumps, not dump: ``json.dump`` streams through the pure
+                # Python encoder, whose nested closures form a cycle per
+                # call; ``dumps`` uses the C encoder (same text)
+                fh.write(json.dumps(payload))
             os.replace(tmp, self._path(fingerprint))
         except OSError as exc:
             if tmp is not None:

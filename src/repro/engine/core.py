@@ -20,7 +20,11 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.engine.cache import NullCache
 from repro.engine.executor import Executor, SerialExecutor
-from repro.engine.instrumentation import Tracer
+from repro.engine.instrumentation import (
+    Tracer,
+    collector_stats,
+    render_collector,
+)
 from repro.engine.jobs import JobResult, JobSpec, job_fingerprint
 from repro.sim.dbt import DbtReport
 
@@ -127,6 +131,7 @@ class ExecutionEngine:
             f"(DbtSystem.run calls: {c.get('dbt.runs', 0)})",
             f"serial fallbacks      : {s.serial_fallbacks}",
             f"engine wall time      : {s.wall_seconds:.2f}s",
+            render_collector(collector_stats()),
         ]
         if c.get("runtime.translations") or s.simulated_runs:
             lines += [

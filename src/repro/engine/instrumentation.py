@@ -72,13 +72,20 @@ derivation), ``optimize.ddg`` (dependence-graph build), ``optimize.schedule``
 allocator-hook share of scheduling, accumulated via :meth:`Tracer.add_time`
 — a subset of ``optimize.schedule``, not additive with it) and
 ``optimize.cache`` (translation-cache fingerprinting and blob (de)serialization).
+
+:func:`collector_stats` reads the cyclic garbage collector's own
+process-lifetime counters (``gc.get_stats()``: a plain read, no callbacks,
+no overhead). A finished job is freed by reference counting, so the
+``collected`` count should stay flat from job to job; a count that climbs
+per job means some job state sits in a reference cycle again.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, Mapping
+from typing import Any, Dict, Iterator, Mapping
 
 
 class Tracer:
@@ -147,3 +154,25 @@ class NullTracer(Tracer):
 
 #: shared default instance; safe because it keeps no state
 NULL_TRACER = NullTracer()
+
+
+def collector_stats() -> Dict[str, Any]:
+    """The cyclic collector's counters since process start: collections
+    per generation (youngest first), and objects collected and found
+    uncollectable, summed over generations."""
+    generations = gc.get_stats()
+    return {
+        "collections": [g["collections"] for g in generations],
+        "collected": sum(g["collected"] for g in generations),
+        "uncollectable": sum(g["uncollectable"] for g in generations),
+    }
+
+
+def render_collector(stats: Mapping[str, Any]) -> str:
+    """The ``collector :`` line of both ``--stats`` renderers."""
+    collections = "/".join(str(n) for n in stats.get("collections", ()))
+    return (
+        f"collector             : {collections or 0} collections "
+        f"(gen 0/1/2), {stats.get('collected', 0)} collected, "
+        f"{stats.get('uncollectable', 0)} uncollectable"
+    )

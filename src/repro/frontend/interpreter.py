@@ -16,10 +16,14 @@ DBT system); the value is configurable on the runtime's machine model side.
 
 Dispatch: instead of re-branching on the opcode every step, each guest pc
 is lazily compiled — once, on first execution — into a specialized handler
-closure with its operands bound (a software analog of a threaded-code
-dispatch table). ``step()`` then just invokes ``handlers[pc]``. Handlers
-read ``trace_hook``/``mem_hook`` through ``self`` at call time, so
-profiling hooks can be attached or removed at any point.
+function with its operands bound as default arguments (a software analog
+of a threaded-code dispatch table). ``step()`` then just invokes
+``handlers[pc](self)``. Handlers take the interpreter as their argument
+rather than closing over it, so the handler table holds no reference back
+to the interpreter and a finished interpreter is freed by reference
+counting, not left to the cyclic collector. They read
+``trace_hook``/``mem_hook`` from that argument at call time, so profiling
+hooks can be attached, replaced or removed at any point.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ class Interpreter:
         #: (alias profiling)
         self.mem_hook: Optional[Callable[[int, int, int, bool], None]] = None
         #: per-pc compiled handlers, filled lazily by :meth:`_compile`
-        self._handlers: List[Optional[Callable[[], None]]] = (
+        self._handlers: List[Optional[Callable[["Interpreter"], None]]] = (
             [None] * len(program)
         )
 
@@ -98,77 +102,86 @@ class Interpreter:
         handler = handlers[pc] if 0 <= pc < len(handlers) else None
         if handler is None:
             handler = self._compile(pc)
-        handler()
+        handler(self)
 
     # ------------------------------------------------------------------
-    def _compile(self, pc: int) -> Callable[[], None]:
+    def _compile(self, pc: int) -> Callable[["Interpreter"], None]:
         """Build (and memoize) the specialized handler for one pc.
 
         Raises the same :class:`IndexError` as fetching an out-of-range pc
         used to, via :meth:`GuestProgram.at`.
+
+        Operands, the register file, stats and memory are bound as
+        default arguments; the interpreter itself is only ever the call
+        argument, so no handler refers back to it.
         """
         inst = self.program.at(pc)
-        self_ = self
         regs = self.registers
         stats = self.stats
         memory = self.memory
         op = inst.opcode
         nxt = pc + 1
-        handler: Callable[[], None]
+        handler: Callable[[Interpreter], None]
 
         if op is Opcode.LD:
-            base, disp, size, dest = inst.base, inst.disp, inst.size, inst.dest
 
-            def handler() -> None:
-                hook = self_.trace_hook
+            def handler(
+                it, pc=pc, nxt=nxt, regs=regs, stats=stats, memory=memory,
+                base=inst.base, disp=inst.disp, size=inst.size, dest=inst.dest,
+            ) -> None:
+                hook = it.trace_hook
                 if hook is not None:
                     hook(pc)
                 stats.instructions += 1
                 addr = regs[base] + disp
-                mem_hook = self_.mem_hook
+                mem_hook = it.mem_hook
                 if mem_hook is not None:
                     mem_hook(pc, addr, size, False)
                 regs[dest] = memory.read(addr, size)
                 stats.loads += 1
-                self_.pc = nxt
+                it.pc = nxt
 
         elif op is Opcode.ST:
-            base, disp, size, src = inst.base, inst.disp, inst.size, inst.srcs[0]
 
-            def handler() -> None:
-                hook = self_.trace_hook
+            def handler(
+                it, pc=pc, nxt=nxt, regs=regs, stats=stats, memory=memory,
+                base=inst.base, disp=inst.disp, size=inst.size,
+                src=inst.srcs[0],
+            ) -> None:
+                hook = it.trace_hook
                 if hook is not None:
                     hook(pc)
                 stats.instructions += 1
                 addr = regs[base] + disp
-                mem_hook = self_.mem_hook
+                mem_hook = it.mem_hook
                 if mem_hook is not None:
                     mem_hook(pc, addr, size, True)
                 memory.write(addr, regs[src], size)
                 stats.stores += 1
-                self_.pc = nxt
+                it.pc = nxt
 
         elif op is Opcode.BR:
-            target = inst.target
 
-            def handler() -> None:
-                hook = self_.trace_hook
+            def handler(it, pc=pc, stats=stats, target=inst.target) -> None:
+                hook = it.trace_hook
                 if hook is not None:
                     hook(pc)
                 stats.instructions += 1
                 stats.branches_taken += 1
-                self_.pc = target
+                it.pc = target
 
         elif op in (Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE):
-            a = inst.srcs[0]
-            b = inst.srcs[1] if len(inst.srcs) > 1 else None
-            target = inst.target
-            code = {
-                Opcode.BEQ: 0, Opcode.BNE: 1, Opcode.BLT: 2, Opcode.BGE: 3
-            }[op]
 
-            def handler() -> None:
-                hook = self_.trace_hook
+            def handler(
+                it, pc=pc, nxt=nxt, regs=regs, stats=stats,
+                a=inst.srcs[0],
+                b=inst.srcs[1] if len(inst.srcs) > 1 else None,
+                target=inst.target,
+                code={
+                    Opcode.BEQ: 0, Opcode.BNE: 1, Opcode.BLT: 2, Opcode.BGE: 3
+                }[op],
+            ) -> None:
+                hook = it.trace_hook
                 if hook is not None:
                     hook(pc)
                 stats.instructions += 1
@@ -184,27 +197,26 @@ class Interpreter:
                     taken = av >= bv
                 if taken:
                     stats.branches_taken += 1
-                    self_.pc = target
+                    it.pc = target
                 else:
-                    self_.pc = nxt
+                    it.pc = nxt
 
         elif op is Opcode.EXIT:
-            exit_code = inst.target
 
-            def handler() -> None:
-                hook = self_.trace_hook
+            def handler(it, pc=pc, stats=stats, exit_code=inst.target) -> None:
+                hook = it.trace_hook
                 if hook is not None:
                     hook(pc)
                 stats.instructions += 1
-                self_.exited = True
-                self_.exit_code = exit_code
+                it.exited = True
+                it.exit_code = exit_code
 
         else:
             body = _compile_alu(inst, regs)
             if body is None:
 
-                def handler() -> None:
-                    hook = self_.trace_hook
+                def handler(it, pc=pc, stats=stats, inst=inst) -> None:
+                    hook = it.trace_hook
                     if hook is not None:
                         hook(pc)
                     stats.instructions += 1
@@ -212,13 +224,15 @@ class Interpreter:
 
             else:
 
-                def handler() -> None:
-                    hook = self_.trace_hook
+                def handler(
+                    it, pc=pc, nxt=nxt, stats=stats, body=body
+                ) -> None:
+                    hook = it.trace_hook
                     if hook is not None:
                         hook(pc)
                     stats.instructions += 1
                     body()
-                    self_.pc = nxt
+                    it.pc = nxt
 
         self._handlers[pc] = handler
         return handler
@@ -236,7 +250,7 @@ class Interpreter:
             handler = handlers[pc] if 0 <= pc < n else None
             if handler is None:
                 handler = self._compile(pc)
-            handler()
+            handler(self)
             steps += 1
         return self.exit_code or 0
 
@@ -257,7 +271,7 @@ class Interpreter:
             handler = handlers[pc] if 0 <= pc < n else None
             if handler is None:
                 handler = self._compile(pc)
-            handler()
+            handler(self)
             steps += 1
         return None
 

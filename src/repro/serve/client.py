@@ -15,6 +15,7 @@ import socket
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.engine.instrumentation import render_collector
 from repro.engine.jobs import JobSpec
 from repro.serve import protocol
 from repro.sim.dbt import DbtReport
@@ -256,5 +257,6 @@ class RemoteEngine:
             f"({backends.get('kernel_compiles', 0)} compiles, "
             f"{backends.get('kernel_loop_iterations', 0)} looped, "
             f"{backends.get('kernel_escapes', 0)} escapes)",
+            render_collector(stats.get("gc", {})),
         ]
         return "\n".join(lines)

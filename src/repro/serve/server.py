@@ -43,7 +43,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.engine.cache import NullCache, ReportCache
 from repro.engine.core import ExecutionEngine
 from repro.engine.executor import ParallelExecutor, SerialExecutor
-from repro.engine.instrumentation import Tracer
+from repro.engine.instrumentation import Tracer, collector_stats
 from repro.engine.jobs import JobResult
 from repro.serve import protocol
 from repro.serve.jobqueue import JobQueue, Ticket, VIA_NEW
@@ -384,6 +384,7 @@ class ReproServer:
             "translate": _translate_summary(counters),
             "plans": _plan_summary(counters),
             "backends": _backend_summary(counters),
+            "gc": collector_stats(),
             "counters": counters,
         }
 

@@ -909,7 +909,9 @@ def compile_vec(ir: R.ReplayIR, adapter, guest_count: int):
     lines += em.restore_lines("    ")
     lines.append(f"    return (it, mark, {ESCAPE}, {ESCAPE}, None)")
     exec(compile("\n".join(lines), "<vliw-replay-kernel>", "exec"), env)
-    return env["_kernel"], em.exit_fps
+    # pop, not get: the kernel's ``__globals__`` is ``env``, so leaving it
+    # there would make a cycle that only the cyclic collector can free
+    return env.pop("_kernel"), em.exit_fps
 
 
 # perfbench/spans.py wraps these two retired compiler names by attribute

@@ -994,7 +994,10 @@ class VliwSimulator:
         next_pc: Optional[int] = None
         exit_code: Optional[int] = None
         exit_kind = _X_FALL
-        alias_exc: Optional[AliasException] = None
+        # The faulting pair is copied out inside the ``except`` block:
+        # keeping the exception in a local would pin this frame (and the
+        # job's whole stack) in a traceback reference cycle.
+        alias_fault: Optional[Tuple[int, int, bool]] = None
         idx = -1
 
         adapter.on_region_enter(region)
@@ -1058,7 +1061,11 @@ class VliwSimulator:
                 # _K_NOP: no functional effect (still occupies its issue
                 # slot — accounted by the timing plan)
         except AliasException as exc:
-            alias_exc = exc
+            alias_fault = (
+                exc.setter_mem_index,
+                exc.checker_mem_index,
+                exc.false_positive,
+            )
             exit_kind = _X_ALIAS
 
         # -- timing: signature lookup instead of the scoreboard loop ---
@@ -1080,22 +1087,23 @@ class VliwSimulator:
             tracer.count("vliw.plan_hits")
         executed = idx + 1
 
-        if alias_exc is not None:
+        if alias_fault is not None:
+            setter, checker, false_positive = alias_fault
             for addr, old in reversed(undo_log):
                 memory.write_bytes(addr, old)
             adapter.on_region_exit()
             cycles = cycle + machine.rollback_penalty
             stats.alias_aborts += 1
-            if alias_exc.false_positive:
+            if false_positive:
                 stats.false_positive_aborts += 1
             stats.total_cycles += cycles
             stats.instructions += executed
             return RegionOutcome(
                 status="alias",
                 cycles=cycles,
-                alias_setter=alias_exc.setter_mem_index,
-                alias_checker=alias_exc.checker_mem_index,
-                false_positive=alias_exc.false_positive,
+                alias_setter=setter,
+                alias_checker=checker,
+                false_positive=false_positive,
                 instructions_executed=executed,
             )
 

@@ -1,5 +1,8 @@
 """Unit tests for the guest interpreter."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.frontend.interpreter import Interpreter, InterpreterLimit
@@ -246,3 +249,67 @@ class TestControlFlow:
         )
         interp = Interpreter(program, Memory(64))
         assert interp.registers[5] == 42
+
+
+class TestHandlerTable:
+    """Per-pc handlers are compiled once and then reused; they must still
+    see hook changes and must not keep their interpreter alive."""
+
+    # one instruction of every handler kind: ALU, LD, ST, conditional
+    # branch (not taken), BR and EXIT
+    INSTS = [
+        movi(1, 0x100),
+        load(2, 1, disp=8),
+        store(1, 2, disp=16),
+        branch(Opcode.BNE, 5, srcs=(1, 1)),
+        branch(Opcode.BR, 5),
+        branch(Opcode.EXIT, 0),
+    ]
+    PCS = [0, 1, 2, 3, 4, 5]
+    MEM = [(1, 0x108, 8, False), (2, 0x110, 8, True)]
+
+    def _rerun(self, interp):
+        """Run the program again over handlers compiled by a prior run."""
+        interp.pc = interp.program.entry_pc
+        interp.exited = False
+        interp.run()
+
+    def test_hook_changes_after_compilation_take_effect(self):
+        program = GuestProgram(name="t", instructions=list(self.INSTS))
+        interp = Interpreter(program, Memory(4096))
+        interp.run()  # compiles every handler with no hooks attached
+        assert all(h is not None for h in interp._handlers)
+
+        first_pcs, first_mem = [], []
+        interp.trace_hook = first_pcs.append
+        interp.mem_hook = lambda *access: first_mem.append(access)
+        self._rerun(interp)
+        assert first_pcs == self.PCS
+        assert first_mem == self.MEM
+
+        second_pcs, second_mem = [], []
+        interp.trace_hook = second_pcs.append
+        interp.mem_hook = lambda *access: second_mem.append(access)
+        self._rerun(interp)
+        assert second_pcs == self.PCS
+        assert second_mem == self.MEM
+        assert first_pcs == self.PCS  # the replaced hooks saw nothing more
+
+        interp.trace_hook = None
+        interp.mem_hook = None
+        self._rerun(interp)
+        assert second_pcs == self.PCS
+        assert second_mem == self.MEM
+
+    def test_interpreter_is_freed_without_the_cyclic_collector(self):
+        program = GuestProgram(name="t", instructions=list(self.INSTS))
+        interp = Interpreter(program, Memory(4096))
+        interp.trace_hook = lambda pc: None
+        interp.run()
+        ref = weakref.ref(interp)
+        gc.disable()  # an automatic collection must not mask a cycle
+        try:
+            del interp
+            assert ref() is None
+        finally:
+            gc.enable()

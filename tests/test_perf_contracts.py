@@ -23,8 +23,12 @@ quadratic, an allocator that re-heapifies) fails deterministically:
    trips on low speedups and on missing baselines;
 6. replay codegen happens at most once per lowered trace on the cold
    path, and a content-identical clone with a warm artifact runs the
-   kernel from its first execution without a single dispatch-loop run.
+   kernel from its first execution without a single dispatch-loop run;
+7. a finished job leaves nothing for the cyclic garbage collector: its
+   whole object graph is freed by reference counting.
 """
+
+import gc
 
 import pytest
 from hypothesis import given, settings
@@ -122,6 +126,93 @@ def _run_cell(benchmark="art", scheme="smarq", scale=0.05):
         tracer=tracer,
     )
     return system.run(), tracer
+
+
+def _cyclic_garbage_of(job):
+    """Objects the cyclic collector finds after ``job()`` runs with the
+    collector off (what reference counting alone could not free)."""
+    gc.collect()
+    gc.disable()
+    try:
+        job()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestJobsLeaveNoCycles:
+    """A finished ``DbtSystem.run`` is freed by reference counting.
+
+    Two cycles used to leave every job's graph to the cyclic collector:
+    the interpreter's per-pc handlers closed over the interpreter that
+    holds them, and the dispatch loop kept the caught alias exception in
+    a local, so its traceback pinned the frame and the job's whole stack.
+    galgel/itanium takes an alias exception, so it locks the second fix
+    separately from the first.
+    """
+
+    @pytest.mark.parametrize(
+        "bench, scheme", [("art", "smarq"), ("galgel", "itanium")]
+    )
+    def test_second_job_leaves_no_cyclic_garbage(self, bench, scheme):
+        _run_cell(bench, scheme)  # warm the process-wide caches
+        assert _cyclic_garbage_of(lambda: _run_cell(bench, scheme)) == 0
+
+    def test_cold_kernel_compiles_leave_no_cyclic_garbage(self):
+        """ammp/smarq compiles kernels it later drops; a dropped kernel
+        must not sit in a cycle with the globals dict it was built in."""
+        import repro.sim.replay_backends as backends_mod
+
+        _run_cell("ammp", "smarq")
+        backends_mod.reset_artifact_cache()
+        assert _cyclic_garbage_of(lambda: _run_cell("ammp", "smarq")) == 0
+
+    def test_engine_job_with_a_report_cache_store_leaves_none(
+        self, tmp_path
+    ):
+        """The whole engine funnel of a miss: simulate, then store the
+        report (the store must not go through ``json.dump``'s pure
+        Python encoder, whose closures form a cycle per call)."""
+        ExecutionEngine(cache=ReportCache(tmp_path / "warm")).run([SPEC])
+        cold = ExecutionEngine(cache=ReportCache(tmp_path / "cold"))
+        assert _cyclic_garbage_of(lambda: cold.run([SPEC])) == 0
+
+    def test_galgel_itanium_takes_an_alias_exception(self):
+        report, _tracer = _run_cell("galgel", "itanium")
+        assert report.alias_exceptions >= 1
+
+
+class TestCollectorCounters:
+    """The collector's counters are exposed, never tuned."""
+
+    def _assert_shape(self, gc_stats):
+        assert set(gc_stats) == {"collections", "collected", "uncollectable"}
+        assert len(gc_stats["collections"]) == len(gc.get_stats())
+
+    def test_engine_stats_print_the_collector_line(self):
+        from repro.engine.instrumentation import collector_stats
+
+        self._assert_shape(collector_stats())
+        engine = ExecutionEngine()
+        engine.run([SPEC])
+        lines = engine.render_stats().splitlines()
+        collector = [ln for ln in lines if ln.startswith("collector ")]
+        assert len(collector) == 1
+
+    def test_serve_stats_carry_the_collector(self):
+        from repro.serve import (
+            RemoteEngine,
+            ServeClient,
+            ServeConfig,
+            running_server,
+        )
+
+        with running_server(ServeConfig(cache=False)) as server:
+            with ServeClient(server.address) as client:
+                assert client.submit([SPEC]).failed == 0
+                self._assert_shape(client.stats()["gc"])
+                text = RemoteEngine(client).render_stats()
+        assert "\ncollector             : " in text
 
 
 class TestTimingPlansAreMemoized:
