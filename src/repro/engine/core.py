@@ -181,6 +181,15 @@ class ExecutionEngine:
                 lines.append(
                     f"stage memo hits       : {', '.join(stage_bits)}"
                 )
+        persist = [
+            c.get(f"translate.persist_{kind}", 0)
+            for kind in ("hits", "misses", "stores")
+        ]
+        if any(persist):
+            lines.append(
+                f"persistent tier       : {persist[0]} hits / "
+                f"{persist[1]} misses / {persist[2]} stores"
+            )
         if t:
             lines.append("per-phase wall time (summed across jobs):")
             for name in sorted(t):

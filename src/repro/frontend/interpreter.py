@@ -14,24 +14,21 @@ Timing: each interpreted guest instruction is charged
 ``cycles_per_instruction`` simulated cycles (interpretation overhead of a
 DBT system); the value is configurable on the runtime's machine model side.
 
-Dispatch: instead of re-branching on the opcode every step, each guest pc
-is lazily compiled — once, on first execution — into a specialized handler
-function with its operands bound as default arguments (a software analog
-of a threaded-code dispatch table). ``step()`` then just invokes
-``handlers[pc](self)``. Handlers take the interpreter as their argument
-rather than closing over it, so the handler table holds no reference back
-to the interpreter and a finished interpreter is freed by reference
-counting, not left to the cyclic collector. They read
-``trace_hook``/``mem_hook`` from that argument at call time, so profiling
-hooks can be attached, replaced or removed at any point.
+Dispatch: ``step``, ``run`` and ``run_until`` fetch the guest
+:class:`~repro.ir.instruction.Instruction` at the current pc and call the
+shared executor for its opcode (one module-level function per opcode,
+found through :data:`_EXECUTE`). Nothing is built per pc or per
+interpreter: most interpreted code (setup loops, cold paths) runs only a
+handful of times, so specializing it per pc cost more than it saved.
+``trace_hook``/``mem_hook`` are read from the interpreter on every step,
+so profiling hooks can be attached, replaced or removed at any point.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Set
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Set
 
 from repro.frontend.program import GuestProgram
 from repro.ir.instruction import Instruction, Opcode
@@ -40,6 +37,8 @@ if TYPE_CHECKING:  # avoid importing the sim package at module load
     from repro.sim.memory import Memory
 
 _MASK64 = (1 << 64) - 1
+_MAX64 = (1 << 63) - 1
+_MOD64 = 1 << 64
 
 
 def _wrap(value: int) -> int:
@@ -89,280 +88,238 @@ class Interpreter:
         #: called as (pc, addr, size, is_store) on every memory access
         #: (alias profiling)
         self.mem_hook: Optional[Callable[[int, int, int, bool], None]] = None
-        #: per-pc compiled handlers, filled lazily by :meth:`_compile`
-        self._handlers: List[Optional[Callable[["Interpreter"], None]]] = (
-            [None] * len(program)
-        )
 
     # ------------------------------------------------------------------
     def step(self) -> None:
-        """Execute one instruction at the current pc."""
-        pc = self.pc
-        handlers = self._handlers
-        handler = handlers[pc] if 0 <= pc < len(handlers) else None
-        if handler is None:
-            handler = self._compile(pc)
-        handler(self)
+        """Execute one instruction at the current pc.
 
-    # ------------------------------------------------------------------
-    def _compile(self, pc: int) -> Callable[["Interpreter"], None]:
-        """Build (and memoize) the specialized handler for one pc.
-
-        Raises the same :class:`IndexError` as fetching an out-of-range pc
-        used to, via :meth:`GuestProgram.at`.
-
-        Operands, the register file, stats and memory are bound as
-        default arguments; the interpreter itself is only ever the call
-        argument, so no handler refers back to it.
+        Raises :class:`IndexError` for a pc outside the program, via
+        :meth:`GuestProgram.at`.
         """
+        pc = self.pc
         inst = self.program.at(pc)
-        regs = self.registers
-        stats = self.stats
-        memory = self.memory
-        op = inst.opcode
-        nxt = pc + 1
-        handler: Callable[[Interpreter], None]
+        hook = self.trace_hook
+        if hook is not None:
+            hook(pc)
+        self.stats.instructions += 1
+        _EXECUTE[inst.opcode](self, inst, pc)
 
-        if op is Opcode.LD:
-
-            def handler(
-                it, pc=pc, nxt=nxt, regs=regs, stats=stats, memory=memory,
-                base=inst.base, disp=inst.disp, size=inst.size, dest=inst.dest,
-            ) -> None:
-                hook = it.trace_hook
-                if hook is not None:
-                    hook(pc)
-                stats.instructions += 1
-                addr = regs[base] + disp
-                mem_hook = it.mem_hook
-                if mem_hook is not None:
-                    mem_hook(pc, addr, size, False)
-                regs[dest] = memory.read(addr, size)
-                stats.loads += 1
-                it.pc = nxt
-
-        elif op is Opcode.ST:
-
-            def handler(
-                it, pc=pc, nxt=nxt, regs=regs, stats=stats, memory=memory,
-                base=inst.base, disp=inst.disp, size=inst.size,
-                src=inst.srcs[0],
-            ) -> None:
-                hook = it.trace_hook
-                if hook is not None:
-                    hook(pc)
-                stats.instructions += 1
-                addr = regs[base] + disp
-                mem_hook = it.mem_hook
-                if mem_hook is not None:
-                    mem_hook(pc, addr, size, True)
-                memory.write(addr, regs[src], size)
-                stats.stores += 1
-                it.pc = nxt
-
-        elif op is Opcode.BR:
-
-            def handler(it, pc=pc, stats=stats, target=inst.target) -> None:
-                hook = it.trace_hook
-                if hook is not None:
-                    hook(pc)
-                stats.instructions += 1
-                stats.branches_taken += 1
-                it.pc = target
-
-        elif op in (Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE):
-
-            def handler(
-                it, pc=pc, nxt=nxt, regs=regs, stats=stats,
-                a=inst.srcs[0],
-                b=inst.srcs[1] if len(inst.srcs) > 1 else None,
-                target=inst.target,
-                code={
-                    Opcode.BEQ: 0, Opcode.BNE: 1, Opcode.BLT: 2, Opcode.BGE: 3
-                }[op],
-            ) -> None:
-                hook = it.trace_hook
-                if hook is not None:
-                    hook(pc)
-                stats.instructions += 1
-                av = regs[a]
-                bv = regs[b] if b is not None else 0
-                if code == 0:
-                    taken = av == bv
-                elif code == 1:
-                    taken = av != bv
-                elif code == 2:
-                    taken = av < bv
-                else:
-                    taken = av >= bv
-                if taken:
-                    stats.branches_taken += 1
-                    it.pc = target
-                else:
-                    it.pc = nxt
-
-        elif op is Opcode.EXIT:
-
-            def handler(it, pc=pc, stats=stats, exit_code=inst.target) -> None:
-                hook = it.trace_hook
-                if hook is not None:
-                    hook(pc)
-                stats.instructions += 1
-                it.exited = True
-                it.exit_code = exit_code
-
-        else:
-            body = _compile_alu(inst, regs)
-            if body is None:
-
-                def handler(it, pc=pc, stats=stats, inst=inst) -> None:
-                    hook = it.trace_hook
-                    if hook is not None:
-                        hook(pc)
-                    stats.instructions += 1
-                    raise ValueError(f"interpreter cannot execute {inst!r}")
-
-            else:
-
-                def handler(
-                    it, pc=pc, nxt=nxt, stats=stats, body=body
-                ) -> None:
-                    hook = it.trace_hook
-                    if hook is not None:
-                        hook(pc)
-                    stats.instructions += 1
-                    body()
-                    it.pc = nxt
-
-        self._handlers[pc] = handler
-        return handler
-
-    # ------------------------------------------------------------------
     def run(self, max_steps: int = 10_000_000) -> int:
         """Run to EXIT; returns the exit code."""
-        steps = 0
-        handlers = self._handlers
-        n = len(handlers)
-        while not self.exited:
-            if steps >= max_steps:
-                raise InterpreterLimit(f"exceeded {max_steps} steps")
-            pc = self.pc
-            handler = handlers[pc] if 0 <= pc < n else None
-            if handler is None:
-                handler = self._compile(pc)
-            handler(self)
-            steps += 1
+        self.run_until(_NO_STOPS, max_steps)
         return self.exit_code or 0
 
     def run_until(
         self, stop_pcs: Set[int], max_steps: int = 1_000_000
     ) -> Optional[int]:
         """Interpret until reaching a pc in ``stop_pcs`` (before executing
-        it) or program exit. Returns the stop pc, or None on exit."""
+        it) or program exit. Returns the stop pc, or None on exit.
+
+        Raises :class:`InterpreterLimit` when ``max_steps`` instructions
+        ran without reaching either; a stop pc reached by exactly the
+        last allowed step is still returned."""
         steps = 0
-        handlers = self._handlers
-        n = len(handlers)
+        insts = self.program.instructions
+        n = len(insts)
+        stats = self.stats
+        execute = _EXECUTE
         while not self.exited:
             pc = self.pc
             if pc in stop_pcs and steps > 0:
                 return pc
             if steps >= max_steps:
                 raise InterpreterLimit(f"exceeded {max_steps} steps")
-            handler = handlers[pc] if 0 <= pc < n else None
-            if handler is None:
-                handler = self._compile(pc)
-            handler(self)
+            inst = insts[pc] if 0 <= pc < n else self.program.at(pc)
+            hook = self.trace_hook
+            if hook is not None:
+                hook(pc)
+            stats.instructions += 1
+            execute[inst.opcode](self, inst, pc)
             steps += 1
         return None
 
 
 # ----------------------------------------------------------------------
-# ALU compilation — one specialized closure per instruction, mirroring the
-# original dispatch chain's semantics exactly (including immediate-form
-# ADD/SUB, CMP's sign result, and the FP-as-integer arithmetic classes).
+# Per-opcode executors, shared by every pc and every interpreter. Each
+# runs after the caller has invoked the trace hook and counted the
+# instruction, and leaves ``it.pc`` at the successor.
 # ----------------------------------------------------------------------
-def _compile_alu(
-    inst: Instruction, regs: List[int]
-) -> Optional[Callable[[], None]]:
-    """The register-effect body for a non-memory, non-control opcode.
+_Executor = Callable[[Interpreter, Instruction, int], None]
 
-    Returns None for opcodes the interpreter cannot execute (the caller
-    compiles a raising handler so the error still fires at execution
-    time, after the trace hook and instruction count, as before).
-    """
-    op = inst.opcode
-    dest = inst.dest
+#: "no stop pcs": :meth:`Interpreter.run` runs to exit or the step limit
+_NO_STOPS: FrozenSet[int] = frozenset()
+
+
+def _ld(it: Interpreter, inst: Instruction, pc: int) -> None:
+    regs = it.registers
+    addr = regs[inst.base] + inst.disp
+    mem_hook = it.mem_hook
+    if mem_hook is not None:
+        mem_hook(pc, addr, inst.size, False)
+    regs[inst.dest] = it.memory.read(addr, inst.size)
+    it.stats.loads += 1
+    it.pc = pc + 1
+
+
+def _st(it: Interpreter, inst: Instruction, pc: int) -> None:
+    regs = it.registers
+    addr = regs[inst.base] + inst.disp
+    mem_hook = it.mem_hook
+    if mem_hook is not None:
+        mem_hook(pc, addr, inst.size, True)
+    it.memory.write(addr, regs[inst.srcs[0]], inst.size)
+    it.stats.stores += 1
+    it.pc = pc + 1
+
+
+def _br(it: Interpreter, inst: Instruction, pc: int) -> None:
+    it.stats.branches_taken += 1
+    it.pc = inst.target
+
+
+def _cond_branch(test: Callable[[int, int], bool]) -> _Executor:
+    """Executor of a two-register conditional branch; a missing second
+    source reads as 0."""
+
+    def execute(it: Interpreter, inst: Instruction, pc: int) -> None:
+        regs = it.registers
+        srcs = inst.srcs
+        b = regs[srcs[1]] if len(srcs) > 1 else 0
+        if test(regs[srcs[0]], b):
+            it.stats.branches_taken += 1
+            it.pc = inst.target
+        else:
+            it.pc = pc + 1
+
+    return execute
+
+
+def _exit(it: Interpreter, inst: Instruction, pc: int) -> None:
+    it.exited = True
+    it.exit_code = inst.target
+
+
+def _unsupported(it: Interpreter, inst: Instruction, pc: int) -> None:
+    raise ValueError(f"interpreter cannot execute {inst!r}")
+
+
+# ALU executors mirror the original dispatch chain's semantics exactly
+# (including immediate-form ADD/SUB, CMP's sign result, and the
+# FP-as-integer arithmetic classes).
+def _movi(it: Interpreter, inst: Instruction, pc: int) -> None:
+    it.registers[inst.dest] = inst.imm or 0
+    it.pc = pc + 1
+
+
+def _mov(it: Interpreter, inst: Instruction, pc: int) -> None:
+    regs = it.registers
+    regs[inst.dest] = regs[inst.srcs[0]]
+    it.pc = pc + 1
+
+
+def _add(it: Interpreter, inst: Instruction, pc: int) -> None:
+    regs = it.registers
     srcs = inst.srcs
     imm = inst.imm
+    if imm is not None:
+        value = regs[srcs[0]] + imm
+    else:
+        value = regs[srcs[0]] + regs[srcs[1]]
+    value &= _MASK64
+    regs[inst.dest] = value - _MOD64 if value > _MAX64 else value
+    it.pc = pc + 1
 
-    if op is Opcode.MOVI:
-        value = imm or 0
-        return lambda: regs.__setitem__(dest, value)
-    if op is Opcode.MOV:
-        s0 = srcs[0]
-        return lambda: regs.__setitem__(dest, regs[s0])
-    if op in (Opcode.ADD, Opcode.SUB) and imm is not None:
-        s0 = srcs[0]
-        delta = imm if op is Opcode.ADD else -imm
-        return lambda: regs.__setitem__(dest, _wrap(regs[s0] + delta))
-    if op is Opcode.ADD:
-        s0, s1 = srcs[0], srcs[1]
-        return lambda: regs.__setitem__(dest, _wrap(regs[s0] + regs[s1]))
-    if op is Opcode.SUB:
-        s0, s1 = srcs[0], srcs[1]
-        return lambda: regs.__setitem__(dest, _wrap(regs[s0] - regs[s1]))
-    if op is Opcode.MUL:
-        s0, s1 = srcs[0], srcs[1]
-        return lambda: regs.__setitem__(dest, _wrap(regs[s0] * regs[s1]))
-    if op is Opcode.AND:
-        s0, s1 = srcs[0], srcs[1]
-        return lambda: regs.__setitem__(dest, regs[s0] & regs[s1])
-    if op is Opcode.OR:
-        s0, s1 = srcs[0], srcs[1]
-        return lambda: regs.__setitem__(dest, regs[s0] | regs[s1])
-    if op is Opcode.XOR:
-        s0, s1 = srcs[0], srcs[1]
-        return lambda: regs.__setitem__(dest, regs[s0] ^ regs[s1])
-    if op is Opcode.SHL:
-        s0, s1 = srcs[0], srcs[1]
-        return lambda: regs.__setitem__(
-            dest, _wrap(regs[s0] << (regs[s1] & 63))
-        )
-    if op is Opcode.SHR:
-        s0, s1 = srcs[0], srcs[1]
-        return lambda: regs.__setitem__(
-            dest, (regs[s0] & _MASK64) >> (regs[s1] & 63)
-        )
-    if op is Opcode.CMP:
-        s0, s1 = srcs[0], srcs[1]
 
-        def cmp_body() -> None:
-            a, b = regs[s0], regs[s1]
-            regs[dest] = (a > b) - (a < b)
+def _sub(it: Interpreter, inst: Instruction, pc: int) -> None:
+    regs = it.registers
+    srcs = inst.srcs
+    imm = inst.imm
+    if imm is not None:
+        value = regs[srcs[0]] - imm
+    else:
+        value = regs[srcs[0]] - regs[srcs[1]]
+    value &= _MASK64
+    regs[inst.dest] = value - _MOD64 if value > _MAX64 else value
+    it.pc = pc + 1
 
-        return cmp_body
-    if op is Opcode.FADD:
-        s0, s1 = srcs[0], srcs[1]
-        return lambda: regs.__setitem__(dest, _wrap(regs[s0] + regs[s1]))
-    if op is Opcode.FSUB:
-        s0, s1 = srcs[0], srcs[1]
-        return lambda: regs.__setitem__(dest, _wrap(regs[s0] - regs[s1]))
-    if op is Opcode.FMUL:
-        s0, s1 = srcs[0], srcs[1]
-        return lambda: regs.__setitem__(dest, _wrap(regs[s0] * regs[s1]))
-    if op is Opcode.FDIV:
-        s0, s1 = srcs[0], srcs[1]
 
-        def fdiv_body() -> None:
-            b = regs[s1]
-            regs[dest] = regs[s0] // b if b else 0
+def _fadd(it: Interpreter, inst: Instruction, pc: int) -> None:
+    regs = it.registers
+    srcs = inst.srcs
+    value = (regs[srcs[0]] + regs[srcs[1]]) & _MASK64
+    regs[inst.dest] = value - _MOD64 if value > _MAX64 else value
+    it.pc = pc + 1
 
-        return fdiv_body
-    if op is Opcode.FMA:
-        s0, s1 = srcs[0], srcs[1]
-        return lambda: regs.__setitem__(
-            dest, _wrap(regs[dest] + regs[s0] * regs[s1])
-        )
-    if op is Opcode.NOP:
-        return lambda: None
-    return None
+
+def _fsub(it: Interpreter, inst: Instruction, pc: int) -> None:
+    regs = it.registers
+    srcs = inst.srcs
+    value = (regs[srcs[0]] - regs[srcs[1]]) & _MASK64
+    regs[inst.dest] = value - _MOD64 if value > _MAX64 else value
+    it.pc = pc + 1
+
+
+def _mul(it: Interpreter, inst: Instruction, pc: int) -> None:
+    regs = it.registers
+    srcs = inst.srcs
+    value = (regs[srcs[0]] * regs[srcs[1]]) & _MASK64
+    regs[inst.dest] = value - _MOD64 if value > _MAX64 else value
+    it.pc = pc + 1
+
+
+def _binary(fn: Callable[[int, int], int]) -> _Executor:
+    """Executor of ``dest = fn(srcs[0], srcs[1])`` (the rarer ALU ops)."""
+
+    def execute(it: Interpreter, inst: Instruction, pc: int) -> None:
+        regs = it.registers
+        srcs = inst.srcs
+        regs[inst.dest] = fn(regs[srcs[0]], regs[srcs[1]])
+        it.pc = pc + 1
+
+    return execute
+
+
+def _fma(it: Interpreter, inst: Instruction, pc: int) -> None:
+    regs = it.registers
+    srcs = inst.srcs
+    dest = inst.dest
+    regs[dest] = _wrap(regs[dest] + regs[srcs[0]] * regs[srcs[1]])
+    it.pc = pc + 1
+
+
+def _nop(it: Interpreter, inst: Instruction, pc: int) -> None:
+    it.pc = pc + 1
+
+
+def _fdiv(a: int, b: int) -> int:
+    return a // b if b else 0
+
+
+_EXECUTE: Dict[Opcode, _Executor] = dict.fromkeys(Opcode, _unsupported)
+_EXECUTE.update({
+    Opcode.LD: _ld,
+    Opcode.ST: _st,
+    Opcode.BR: _br,
+    Opcode.BEQ: _cond_branch(operator.eq),
+    Opcode.BNE: _cond_branch(operator.ne),
+    Opcode.BLT: _cond_branch(operator.lt),
+    Opcode.BGE: _cond_branch(operator.ge),
+    Opcode.EXIT: _exit,
+    Opcode.MOVI: _movi,
+    Opcode.MOV: _mov,
+    Opcode.ADD: _add,
+    Opcode.SUB: _sub,
+    Opcode.MUL: _mul,
+    Opcode.AND: _binary(operator.and_),
+    Opcode.OR: _binary(operator.or_),
+    Opcode.XOR: _binary(operator.xor),
+    Opcode.SHL: _binary(lambda a, b: _wrap(a << (b & 63))),
+    Opcode.SHR: _binary(lambda a, b: (a & _MASK64) >> (b & 63)),
+    Opcode.CMP: _binary(lambda a, b: (a > b) - (a < b)),
+    Opcode.FADD: _fadd,
+    Opcode.FSUB: _fsub,
+    Opcode.FMUL: _mul,
+    Opcode.FDIV: _binary(_fdiv),
+    Opcode.FMA: _fma,
+    Opcode.NOP: _nop,
+})

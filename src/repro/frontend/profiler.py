@@ -1,6 +1,10 @@
 """Hotness profiling (paper Section 6: hot/cold thresholds).
 
 The profiler counts executions of basic-block heads and of branch edges.
+It observes either one instruction at a time (as the interpreter's
+``trace_hook``) or one straight-line run at a time: the DBT loop
+interprets a basic block per call and reports its first pc and length,
+which updates the counts exactly as observing each pc would.
 A block becomes *hot* when its head's execution count reaches
 ``hot_threshold``; a block is *cold* (terminates region growth) while its
 count is below ``cold_threshold``. Edge counts steer superblock formation
@@ -24,23 +28,40 @@ class ProfilerConfig:
 class HotnessProfiler:
     """Execution-count profiler attached to the interpreter's trace hook."""
 
-    def __init__(self, program: GuestProgram, config: Optional[ProfilerConfig] = None) -> None:
+    def __init__(
+        self,
+        program: GuestProgram,
+        config: Optional[ProfilerConfig] = None,
+        heads: Optional[Set[int]] = None,
+    ) -> None:
+        """``heads`` is ``program.block_heads()``, passed in by callers
+        that already computed it."""
         self.program = program
         self.config = config or ProfilerConfig()
-        self._heads: Set[int] = program.block_heads()
+        self._heads: Set[int] = (
+            heads if heads is not None else program.block_heads()
+        )
         self.block_counts: Dict[int, int] = {}
         self.edge_counts: Dict[Tuple[int, int], int] = {}
         self._last_pc: Optional[int] = None
 
     # ------------------------------------------------------------------
-    def observe(self, pc: int) -> None:
-        """Trace hook: called with each executed pc."""
+    def observe(self, pc: int, steps: int = 1) -> None:
+        """Record ``steps`` instructions executed in sequence from ``pc``.
+
+        With the default ``steps=1`` this is the interpreter's trace
+        hook, called with each executed pc. A longer run must be
+        straight-line code with no block head after its first pc — one
+        basic block or a tail of one — so only its first pc can count as
+        a head and only its entry can be a non-fall-through edge.
+        """
+        last = self._last_pc
         if pc in self._heads:
             self.block_counts[pc] = self.block_counts.get(pc, 0) + 1
-        if self._last_pc is not None and pc != self._last_pc + 1:
-            edge = (self._last_pc, pc)
+        if last is not None and pc != last + 1:
+            edge = (last, pc)
             self.edge_counts[edge] = self.edge_counts.get(edge, 0) + 1
-        self._last_pc = pc
+        self._last_pc = pc + steps - 1
 
     # ------------------------------------------------------------------
     def is_hot(self, head_pc: int) -> bool:

@@ -48,17 +48,23 @@ class RegionFormer:
         program: GuestProgram,
         profiler: HotnessProfiler,
         config: Optional[RegionFormationConfig] = None,
+        heads: Optional[Set[int]] = None,
     ) -> None:
+        """``heads`` is ``program.block_heads()``, passed in by callers
+        that already computed it."""
         self.program = program
         self.profiler = profiler
         self.config = config or RegionFormationConfig()
+        self._heads: Set[int] = (
+            heads if heads is not None else program.block_heads()
+        )
 
     def form(self, head_pc: int) -> Superblock:
         """Form a superblock starting at ``head_pc``."""
         block = Superblock(entry_pc=head_pc, name=f"sb@{head_pc}")
         pc = head_pc
         side_exits = 0
-        heads = self.program.block_heads()
+        heads = self._heads
 
         while len(block) < self.config.max_instructions:
             inst = self.program.at(pc)
@@ -113,7 +119,6 @@ class RegionFormer:
         """Stop growth at cold blocks (only evaluated at block heads)."""
         if pc == head_pc:
             return False
-        heads = self.program.block_heads()
-        if pc not in heads:
+        if pc not in self._heads:
             return False
         return self.profiler.is_cold(pc)

@@ -49,11 +49,14 @@ from repro.analysis.certify import (
     check_certificate,
     prover_token,
 )
+from repro.analysis.constraints import CheckConstraint
 from repro.analysis.dependence import (
     Dependence,
     DependenceSet,
     compute_dependences,
 )
+from repro.analysis.liveness import working_set_lower_bound
+from repro.ir.instruction import Instruction
 from repro.ir.superblock import Superblock
 from repro.opt.load_elim import LoadElimination, LoadEliminationResult
 from repro.opt.store_elim import StoreElimination, StoreEliminationResult
@@ -70,7 +73,7 @@ from repro.sched.list_scheduler import (
     SchedulerConfig,
 )
 from repro.sched.machine import MachineModel
-from repro.smarq.allocator import SmarqAllocator
+from repro.smarq.allocator import AllocationStats, SmarqAllocator
 
 
 def _digest(obj) -> str:
@@ -108,24 +111,67 @@ class OptimizerConfig:
 
 
 @dataclass
-class OptimizedRegion:
-    """Everything the runtime needs to install a translated region.
+class AllocationSummary:
+    """What the runtime and the reports read of one alias register
+    allocation, kept instead of the allocator that produced it.
 
-    ``allocator`` is whichever hook performed alias register allocation —
-    a :class:`SmarqAllocator`, a
-    :class:`~repro.smarq.bitmask_alloc.BitmaskAllocator`, a
-    :class:`~repro.smarq.plain_order_alloc.PlainOrderAllocator` — or None
-    for non-speculative translations. All expose a shared
-    :class:`~repro.smarq.allocator.AllocationStats` as ``.stats``.
+    ``check_pairs`` holds the ``(checker, target)`` instruction pair of
+    every check constraint the allocator recorded (empty for allocators
+    that keep none); ``working_set_lower_bound`` is the live-range bound
+    on any allocation's working set over this schedule (Figure 17).
+    """
+
+    stats: AllocationStats
+    check_pairs: Tuple[Tuple[Instruction, Instruction], ...] = ()
+    working_set_lower_bound: int = 0
+
+
+def summarize_allocation(
+    allocator: Optional[object], schedule: ScheduleResult
+) -> Optional[AllocationSummary]:
+    """The :class:`AllocationSummary` of ``allocator``'s work on
+    ``schedule``; None for non-speculative translations."""
+    if allocator is None:
+        return None
+    uid_pairs = getattr(allocator, "_check_pairs", None)
+    if uid_pairs is None:
+        return AllocationSummary(allocator.stats)
+    insts = allocator._inst
+    pairs = tuple((insts[c], insts[t]) for c, t in uid_pairs)
+    positions = schedule.position()
+    checks = [
+        CheckConstraint(checker, target)
+        for checker, target in pairs
+        if checker.uid in positions and target.uid in positions
+    ]
+    return AllocationSummary(
+        allocator.stats, pairs, working_set_lower_bound(checks, positions)
+    )
+
+
+#: Version of the :class:`OptimizedRegion` layout, folded into every
+#: full-tier translation key: persisted blobs of another layout then
+#: miss instead of loading into this runtime.
+TRANSLATION_SCHEMA = 2
+
+
+@dataclass
+class OptimizedRegion:
+    """Everything the runtime and the reports read of a translated region.
+
+    Only these products are kept (and pickled by the translation cache's
+    full tier): the optimizer's working state — the live allocator, the
+    dependence set, the alias analysis, the elimination records — is
+    dropped when :meth:`OptimizationPipeline.optimize` returns, so a
+    cache hit clones a few hundred objects instead of the whole graph.
+    ``allocation`` is None for non-speculative translations.
     """
 
     block: Superblock
     schedule: ScheduleResult
-    allocator: Optional[object]
-    dependences: DependenceSet
-    load_elim: LoadEliminationResult
-    store_elim: StoreEliminationResult
-    analysis: AliasAnalysis
+    allocation: Optional[AllocationSummary]
+    loads_eliminated: int
+    stores_eliminated: int
     config: OptimizerConfig
     #: checker-accepted alias certificate, when certification ran
     certificate: Optional[Certificate] = None
@@ -200,6 +246,7 @@ class OptimizationPipeline:
     def _full_key(self, content, hints_key, banned_key) -> Tuple:
         key = (
             "full",
+            TRANSLATION_SCHEMA,
             self._machine_digest,
             self._env_digest,
             self._config_digest(),
@@ -571,11 +618,9 @@ class OptimizationPipeline:
         return OptimizedRegion(
             block=block,
             schedule=schedule,
-            allocator=allocator,
-            dependences=deps,
-            load_elim=load_result,
-            store_elim=store_result,
-            analysis=analysis,
+            allocation=summarize_allocation(allocator, schedule),
+            loads_eliminated=load_result.eliminated,
+            stores_eliminated=store_result.eliminated,
             config=config,
             certificate=certificate,
         )

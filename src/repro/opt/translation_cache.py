@@ -8,12 +8,15 @@ module fingerprints exactly those inputs and serves repeat translations
 from memory:
 
 * **full tier** — a fingerprint-keyed store of pickled
-  :class:`~repro.opt.pipeline.OptimizedRegion` blobs. A hit deserializes
-  a private clone of the whole translation object graph (block, schedule,
-  allocator, analysis — internal identity preserved, nothing shared with
-  other consumers), which is several times cheaper than re-optimizing.
-  Blobs are serialized *at translation time*, before the VLIW simulator
-  attaches its unpicklable compiled-trace closures.
+  :class:`~repro.opt.pipeline.OptimizedRegion` blobs. A translation
+  holds only what the runtime and the reports read (block, schedule,
+  allocation summary, elimination counts, certificate, config), so a hit
+  deserializes a small private clone (internal identity preserved,
+  nothing shared with other consumers) at a fraction of the cost of
+  re-optimizing. Blobs are serialized *at translation time*, before the
+  VLIW simulator attaches its unpicklable compiled-trace closures. The
+  key carries :data:`~repro.opt.pipeline.TRANSLATION_SCHEMA`, so blobs of
+  another translation layout never load.
 * **stage tiers** — when the full tier misses (a new scheme, a new hint
   set), scheme-independent intermediate products are still reusable:
   the post-elimination block (``elim``), the base memory dependences

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from repro.frontend.interpreter import Interpreter
+from repro.frontend.interpreter import Interpreter, InterpreterLimit
 from repro.frontend.profiler import HotnessProfiler, ProfilerConfig
 from repro.frontend.program import GuestProgram
 from repro.frontend.region import RegionFormationConfig, RegionFormer
@@ -205,17 +205,23 @@ class DbtSystem:
             runtime_config,
             tracer=self.tracer,
         )
-        self.profiler = HotnessProfiler(program, profiler_config)
-        self.region_former = RegionFormer(program, self.profiler, region_config)
+        # Block heads are computed once and shared: the profiler counts
+        # them, the region former stops growth at them, and the dispatch
+        # loop interprets one basic block (head to next head) per call.
+        self._heads: Set[int] = program.block_heads()
+        self.profiler = HotnessProfiler(
+            program, profiler_config, heads=self._heads
+        )
+        self.region_former = RegionFormer(
+            program, self.profiler, region_config, heads=self._heads
+        )
         self.interpreter = Interpreter(program, self.memory)
-        self.interpreter.trace_hook = self.profiler.observe
         self.alias_profiler = None
         if alias_profiling:
             from repro.frontend.alias_profiler import AliasProfiler
 
             self.alias_profiler = AliasProfiler()
             self.interpreter.mem_hook = self.alias_profiler.observe
-        self._heads: Set[int] = program.block_heads()
         self._formed: Set[int] = set()
 
     # ------------------------------------------------------------------
@@ -229,6 +235,9 @@ class DbtSystem:
     def _run(self, max_guest_steps: int) -> DbtReport:
         interp = self.interpreter
         runtime = self.runtime
+        heads = self._heads
+        observe = self.profiler.observe
+        interp_cpi = runtime.config.interp_cycles_per_instruction
         steps_budget = max_guest_steps
         exit_code: Optional[int] = None
 
@@ -260,10 +269,12 @@ class DbtSystem:
                 # interpret forward to guarantee progress. The stride is
                 # bounded so newly-hot loops (later phases) still reach the
                 # region-formation logic below.
-                stop = runtime.interpret_through_region(
+                runtime.interpret_through_region(
                     interp,
                     stop_pcs=self._translated_pcs(exclude=None),
                     max_steps=512,
+                    heads=heads,
+                    observe=observe,
                 )
                 steps_budget -= 1
                 if interp.exited:
@@ -271,15 +282,19 @@ class DbtSystem:
                 self._form_if_hot(interp.pc)
                 continue
 
-            # Interpretation (slow path).
+            # Interpretation (slow path): one basic block per call.
+            # Translations are installed only at block heads, so nothing
+            # between two heads needs polling.
             before = interp.stats.instructions
-            interp.step()
+            try:
+                interp.run_until(heads, max_steps=steps_budget)
+            except InterpreterLimit:
+                pass  # budget spent mid-block; the loop ends below
             executed = interp.stats.instructions - before
+            observe(pc, executed)
             runtime.stats.interp_instructions += executed
-            runtime.stats.interp_cycles += (
-                executed * runtime.config.interp_cycles_per_instruction
-            )
-            steps_budget -= 1
+            runtime.stats.interp_cycles += executed * interp_cpi
+            steps_budget -= executed
             if interp.exited:
                 exit_code = interp.exit_code
                 break
@@ -320,36 +335,26 @@ class DbtSystem:
         region_stats: Dict[int, RegionSnapshot] = {}
         for pc, entry in self.runtime._regions.items():
             translation = entry.translation
-            alloc = translation.allocator
-            lower_bound = 0
-            if alloc is not None and hasattr(alloc, "_check_pairs"):
-                from repro.analysis.constraints import CheckConstraint
-                from repro.analysis.liveness import working_set_lower_bound
-
-                positions = translation.schedule.position()
-                checks = [
-                    CheckConstraint(alloc._inst[c], alloc._inst[t])
-                    for c, t in alloc._check_pairs
-                    if alloc._inst[c].uid in positions
-                    and alloc._inst[t].uid in positions
-                ]
-                lower_bound = working_set_lower_bound(checks, positions)
+            alloc = translation.allocation
+            counts = alloc.stats if alloc is not None else None
             region_stats[pc] = RegionSnapshot(
                 entry_pc=pc,
                 instructions=len(entry.original),
                 memory_ops=len(entry.original.memory_ops()),
-                p_bit_ops=alloc.stats.p_bit_ops if alloc else 0,
-                c_bit_ops=alloc.stats.c_bit_ops if alloc else 0,
-                check_constraints=alloc.stats.check_constraints if alloc else 0,
-                anti_constraints=alloc.stats.anti_constraints if alloc else 0,
-                amovs=alloc.stats.amovs_inserted if alloc else 0,
-                working_set=alloc.stats.working_set if alloc else 0,
+                p_bit_ops=counts.p_bit_ops if counts else 0,
+                c_bit_ops=counts.c_bit_ops if counts else 0,
+                check_constraints=counts.check_constraints if counts else 0,
+                anti_constraints=counts.anti_constraints if counts else 0,
+                amovs=counts.amovs_inserted if counts else 0,
+                working_set=counts.working_set if counts else 0,
                 registers_allocated=(
-                    alloc.stats.registers_allocated if alloc else 0
+                    counts.registers_allocated if counts else 0
                 ),
-                loads_eliminated=translation.load_elim.eliminated,
-                stores_eliminated=translation.store_elim.eliminated,
-                working_set_lower_bound=lower_bound,
+                loads_eliminated=translation.loads_eliminated,
+                stores_eliminated=translation.stores_eliminated,
+                working_set_lower_bound=(
+                    alloc.working_set_lower_bound if alloc else 0
+                ),
             )
         return DbtReport(
             scheme=self.scheme.name,

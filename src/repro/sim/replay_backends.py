@@ -1003,15 +1003,6 @@ def artifact_for(key: Tuple) -> ReplayArtifact:
     return art
 
 
-def invalidate_artifacts(replay_key) -> int:
-    """Drop every cached artifact lowered from ``replay_key`` (region
-    re-optimized or blacklisted). Returns the number dropped."""
-    stale = [k for k in _artifacts if k[0] == replay_key]
-    for k in stale:
-        del _artifacts[k]
-    return len(stale)
-
-
 def reset_artifact_cache() -> None:
     """Clear the cache (tests)."""
     _artifacts.clear()

@@ -20,7 +20,7 @@ is recorded separately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Callable, Dict, Optional, Set
 
 from repro.frontend.interpreter import Interpreter
 from repro.frontend.program import GuestProgram
@@ -224,19 +224,46 @@ class DynamicOptimizationRuntime:
 
     # ------------------------------------------------------------------
     def interpret_through_region(
-        self, interpreter: Interpreter, stop_pcs: Set[int], max_steps: int = 100_000
+        self,
+        interpreter: Interpreter,
+        stop_pcs: Set[int],
+        max_steps: int = 100_000,
+        heads: Optional[Set[int]] = None,
+        observe: Optional[Callable[[int, int], None]] = None,
     ) -> Optional[int]:
         """Interpret until a translated entry pc (or exit, or the step
         stride runs out), charging interpretation cycles; used after
-        aborts for forward progress."""
+        aborts for forward progress.
+
+        With ``heads`` (the program's block heads, a superset of
+        ``stop_pcs``) it interprets one basic block per
+        :meth:`~repro.frontend.interpreter.Interpreter.run_until` call
+        and reports each block to ``observe(first_pc, steps)`` (the
+        hotness profiler's block observer)."""
         from repro.frontend.interpreter import InterpreterLimit
 
-        before = interpreter.stats.instructions
-        try:
-            stop = interpreter.run_until(stop_pcs, max_steps=max_steps)
-        except InterpreterLimit:
-            stop = None  # stride exhausted: caller re-enters the main loop
-        executed = interpreter.stats.instructions - before
+        blocks = heads if heads is not None else stop_pcs
+        start = interpreter.stats.instructions
+        stop: Optional[int] = None
+        while not interpreter.exited:
+            first = interpreter.pc
+            before = interpreter.stats.instructions
+            remaining = max_steps - (before - start)
+            try:
+                interpreter.run_until(blocks, max_steps=remaining)
+            except InterpreterLimit:
+                pass  # stride exhausted: caller re-enters the main loop
+            steps = interpreter.stats.instructions - before
+            if observe is not None and steps:
+                observe(first, steps)
+            if interpreter.exited:
+                break
+            if interpreter.pc in stop_pcs:
+                stop = interpreter.pc
+                break
+            if interpreter.stats.instructions - start >= max_steps:
+                break
+        executed = interpreter.stats.instructions - start
         self.stats.interp_instructions += executed
         self.stats.interp_cycles += (
             executed * self.config.interp_cycles_per_instruction

@@ -68,17 +68,17 @@ def render_region_summary(region) -> str:
         f"{len(block.memory_ops())} memory ops, "
         f"{schedule.length_cycles} scheduled cycles"
     ]
-    if region.allocator is not None:
-        stats = region.allocator.stats
+    if region.allocation is not None:
+        stats = region.allocation.stats
         parts.append(
             f"constraints: {stats.check_constraints} check / "
             f"{stats.anti_constraints} anti; registers: "
             f"{stats.registers_allocated} allocated, working set "
             f"{stats.working_set}"
         )
-    if region.load_elim.eliminated or region.store_elim.eliminated:
+    if region.loads_eliminated or region.stores_eliminated:
         parts.append(
-            f"eliminated: {region.load_elim.eliminated} loads, "
-            f"{region.store_elim.eliminated} stores"
+            f"eliminated: {region.loads_eliminated} loads, "
+            f"{region.stores_eliminated} stores"
         )
     return "; ".join(parts)

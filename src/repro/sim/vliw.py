@@ -284,19 +284,18 @@ def _compile_timing(machine: MachineModel, trace) -> List[int]:
 
 
 def invalidate_timing_plans(region) -> bool:
-    """Drop a region's cached compiled trace, timing plans, and shared
-    replay artifacts (lowered IR + compiled backend kernels).
+    """Drop a region's cached compiled trace and timing plans.
 
     Called by the runtime when a region is re-optimized or blacklisted;
     the replacement translation is a fresh object (so the identity-keyed
     cache could never serve it stale data anyway), but clearing the old
     region's cache makes the invalidation rule explicit and frees the
-    plan memory of translations that will never run again. Returns True
-    when there was anything to drop.
+    plan memory of translations that will never run again. Shared replay
+    artifacts (lowered IR + compiled kernels) stay: their key folds in
+    the full translation key, so they can never go stale, and a later
+    job translating the same region adopts them. Returns True when there
+    was anything to drop.
     """
-    replay_key = getattr(region, "_replay_key", None)
-    if replay_key is not None:
-        _backends.invalidate_artifacts(replay_key)
     if getattr(region, "_vliw_trace", None) is not None:
         try:
             region._vliw_trace = None

@@ -15,7 +15,7 @@ call. These tests pin its contract:
 * auto promotion adopts the kernel at ``_KERNEL_THRESHOLD`` executions,
   early-escaping traces demote at ``ESCAPE_LIMIT``;
 * forced ``interp`` is the kill switch;
-* re-optimization (plan invalidation) drops the compiled kernel;
+* re-optimization (plan invalidation) keeps the content-keyed kernel;
 * the warm serve daemon reuses compiled kernels across repeat batches
   (zero-delta ``vliw.kernel_compiles``).
 """
@@ -324,9 +324,10 @@ class TestKillSwitches:
 
 
 class TestInvalidation:
-    def test_reoptimize_drops_batch_kernel(self):
-        """Plan invalidation (re-optimization) drops the shared artifact
-        for the region's replay key — the next run recompiles."""
+    def test_reoptimize_keeps_content_keyed_kernel(self):
+        """Plan invalidation (re-optimization) clears the region's trace
+        but keeps the shared artifact for its replay key: the key folds
+        in the whole translation, so the next run adopts the kernel."""
         with backend_forced("kernel"):
             tracer = Tracer()
             sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
@@ -338,9 +339,11 @@ class TestInvalidation:
             batch_once(sim, region)
             assert tracer.counters.get("vliw.kernel_compiles") == 1
             assert invalidate_timing_plans(region) is True
+            hits = tracer.counters.get("vliw.kernel_cache_hits", 0)
             out, _, batched = batch_once(sim, region)
             assert out.status == "commit" and batched > 0
-            assert tracer.counters.get("vliw.kernel_compiles") == 2
+            assert tracer.counters.get("vliw.kernel_compiles") == 1
+            assert tracer.counters.get("vliw.kernel_cache_hits") == hits + 1
 
 
 class TestIrHelpers:

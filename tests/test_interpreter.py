@@ -252,10 +252,11 @@ class TestControlFlow:
 
 
 class TestHandlerTable:
-    """Per-pc handlers are compiled once and then reused; they must still
-    see hook changes and must not keep their interpreter alive."""
+    """Every pc runs through the shared opcode-indexed handler table
+    (``_EXECUTE``): hooks are read on every step, and nothing per pc is
+    built or kept."""
 
-    # one instruction of every handler kind: ALU, LD, ST, conditional
+    # one instruction of every executor kind: ALU, LD, ST, conditional
     # branch (not taken), BR and EXIT
     INSTS = [
         movi(1, 0x100),
@@ -269,16 +270,15 @@ class TestHandlerTable:
     MEM = [(1, 0x108, 8, False), (2, 0x110, 8, True)]
 
     def _rerun(self, interp):
-        """Run the program again over handlers compiled by a prior run."""
+        """Run the program again on the same interpreter."""
         interp.pc = interp.program.entry_pc
         interp.exited = False
         interp.run()
 
-    def test_hook_changes_after_compilation_take_effect(self):
+    def test_hook_changes_between_runs_take_effect(self):
         program = GuestProgram(name="t", instructions=list(self.INSTS))
         interp = Interpreter(program, Memory(4096))
-        interp.run()  # compiles every handler with no hooks attached
-        assert all(h is not None for h in interp._handlers)
+        interp.run()  # a first run with no hooks attached
 
         first_pcs, first_mem = [], []
         interp.trace_hook = first_pcs.append
@@ -300,6 +300,57 @@ class TestHandlerTable:
         self._rerun(interp)
         assert second_pcs == self.PCS
         assert second_mem == self.MEM
+
+    @pytest.mark.parametrize("entry", ["run", "run_until", "step"])
+    def test_hooks_set_replaced_and_cleared_mid_run(self, entry):
+        """A hook that rewires the hooks takes effect from the very next
+        instruction, on every dispatch entry point."""
+        program = GuestProgram(name="t", instructions=list(self.INSTS))
+        interp = Interpreter(program, Memory(4096))
+        early, late, mem = [], [], []
+
+        def first_hook(pc):
+            early.append(pc)
+            if pc == 0:  # attach the memory hook before the load runs
+                interp.mem_hook = lambda *access: mem.append(access)
+            if pc == 1:  # replace the trace hook after the load
+                interp.trace_hook = second_hook
+
+        def second_hook(pc):
+            late.append(pc)
+            if pc == 3:  # clear both before the branches run
+                interp.trace_hook = None
+                interp.mem_hook = None
+
+        interp.trace_hook = first_hook
+        if entry == "run":
+            interp.run()
+        elif entry == "run_until":
+            assert interp.run_until(set()) is None
+        else:
+            while not interp.exited:
+                interp.step()
+        assert early == [0, 1]
+        assert late == [2, 3]
+        assert mem == self.MEM
+        assert interp.exited and interp.stats.instructions == len(self.INSTS)
+
+    def test_running_builds_no_objects(self):
+        """Dispatch creates nothing the collector tracks — no per-pc
+        handler, closure or table — however many pcs run."""
+        body = [movi(1, 0x100), load(2, 1, disp=8), store(1, 2, disp=16)]
+        program = GuestProgram(
+            name="t", instructions=body * 100 + [branch(Opcode.EXIT, 0)]
+        )
+        interp = Interpreter(program, Memory(4096))
+        gc.collect()
+        gc.disable()  # nothing may be freed or untracked meanwhile
+        try:
+            before = len(gc.get_objects())
+            interp.run()
+            assert len(gc.get_objects()) == before
+        finally:
+            gc.enable()
 
     def test_interpreter_is_freed_without_the_cyclic_collector(self):
         program = GuestProgram(name="t", instructions=list(self.INSTS))

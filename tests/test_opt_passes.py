@@ -171,14 +171,14 @@ class TestPipeline:
     def test_speculative_config_produces_allocator(self):
         pipeline = OptimizationPipeline(MachineModel())
         region = pipeline.optimize(self.make_block())
-        assert region.allocator is not None
+        assert region.allocation is not None
 
     def test_non_speculative_config_has_no_allocator(self):
         pipeline = OptimizationPipeline(
             MachineModel(), OptimizerConfig(speculate=False)
         )
         region = pipeline.optimize(self.make_block())
-        assert region.allocator is None
+        assert region.allocation is None
         # conservative schedule keeps program order of may-alias pairs
         pos = region.schedule.position()
         ops = region.block.memory_ops()

@@ -25,20 +25,29 @@ quadratic, an allocator that re-heapifies) fails deterministically:
    path, and a content-identical clone with a warm artifact runs the
    kernel from its first execution without a single dispatch-loop run;
 7. a finished job leaves nothing for the cyclic garbage collector: its
-   whole object graph is freed by reference counting.
+   whole object graph is freed by reference counting;
+8. a job allocates little to begin with: a translation-cache hit clones
+   a small, bounded object graph per region instruction, interpreting
+   guest code builds nothing per pc, and the block-at-a-time profile
+   equals the per-instruction one.
 """
 
 import gc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import repro.smarq.allocator as allocator_mod
 from repro.engine.cache import ReportCache
 from repro.engine.core import ExecutionEngine
 from repro.engine.instrumentation import Tracer
 from repro.engine.jobs import JobSpec
-from repro.frontend.profiler import ProfilerConfig
+from repro.frontend.interpreter import Interpreter, InterpreterLimit
+from repro.frontend.profiler import HotnessProfiler, ProfilerConfig
+from repro.frontend.program import GuestProgram
+from repro.fuzz import generate_case
+from repro.ir.instruction import Opcode, binop, branch, load, movi, store
+from repro.sim.memory import Memory
 from repro.sim.dbt import DbtSystem
 from repro.workloads import make_benchmark
 
@@ -180,6 +189,115 @@ class TestJobsLeaveNoCycles:
     def test_galgel_itanium_takes_an_alias_exception(self):
         report, _tracer = _run_cell("galgel", "itanium")
         assert report.alias_exceptions >= 1
+
+
+def _tracked_growth(job):
+    """Objects tracked by the collector that ``job()`` leaves alive, with
+    the collector off so none is freed or untracked meanwhile."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        result = job()
+        return len(gc.get_objects()) - before, result
+    finally:
+        gc.enable()
+
+
+class TestJobsAllocateLittle:
+    """The job path builds no throwaway per-job object graphs."""
+
+    #: tracked objects a full-tier hit may clone per region instruction
+    #: (an instruction, its attribute dict, its operand tuples and its
+    #: share of the schedule and the check pairs). A clone of the whole
+    #: optimizer state (allocator, dependence set, alias analysis) took
+    #: 8-47 per instruction.
+    CLONE_OBJECTS_PER_INSTRUCTION = 7
+
+    def test_full_tier_hit_clones_a_small_graph(self, monkeypatch):
+        from repro.opt.translation_cache import (
+            get_translation_cache,
+            reset_translation_cache,
+        )
+
+        monkeypatch.delenv("SMARQ_NO_TRANSLATION_CACHE", raising=False)
+        reset_translation_cache()
+        try:
+            for bench in ("art", "galgel", "pchase"):
+                for scheme in ("smarq", "itanium", "efficeon", "none"):
+                    _run_cell(bench, scheme)
+            cache = get_translation_cache()
+            keys = list(cache._full)
+            assert len(keys) >= 10
+            tracer = Tracer()
+            for key in keys:
+                grown, region = _tracked_growth(
+                    lambda: cache.get_translation(key, tracer)
+                )
+                assert grown <= (
+                    self.CLONE_OBJECTS_PER_INSTRUCTION * len(region.block)
+                ), (key[4][0], len(region.block), grown)
+        finally:
+            reset_translation_cache()
+
+    @staticmethod
+    def _straight_line(length):
+        """Setup, then ``length`` ALU/memory ops with no branch, then
+        EXIT: one basic block, interpreted once."""
+        insts = [movi(1, 0x100), movi(2, 1)]
+        for i in range(length):
+            if i % 3:
+                insts.append(binop(Opcode.ADD, 2, 2, 2))
+            else:
+                insts.append(store(1, 2, disp=8 * (i % 16)))
+                insts.append(load(3, 1, disp=8 * (i % 16)))
+        insts.append(branch(Opcode.EXIT, 0))
+        return GuestProgram(
+            name=f"line{length}",
+            instructions=insts,
+            region_map={"a": (0x100, 256)},
+        )
+
+    def test_interpretation_builds_nothing_per_pc(self):
+        def growth(length):
+            system = DbtSystem(self._straight_line(length), "smarq")
+            grown, report = _tracked_growth(system.run)
+            assert report.guest_instructions > length
+            return grown
+
+        growth(10)  # warm lazy imports and module-level caches
+        short, long = growth(200), growth(4000)
+        assert long <= short + 4, (short, long)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_block_profile_equals_instruction_profile(self, seed):
+        """Observing one basic block per ``run_until`` call (the DBT
+        loop's slow path) counts exactly what observing every pc does."""
+        program = generate_case(seed).program()
+        budget = 20_000
+
+        reference = HotnessProfiler(program)
+        interp = Interpreter(program, Memory(program.memory_size() + 4096))
+        interp.trace_hook = reference.observe
+        try:
+            interp.run(max_steps=budget)
+        except InterpreterLimit:  # compare the equal-length prefix
+            pass
+
+        # An unreachable hot threshold keeps everything interpreted.
+        system = DbtSystem(
+            program,
+            "smarq",
+            profiler_config=ProfilerConfig(hot_threshold=budget + 1),
+        )
+        system.run(max_guest_steps=interp.stats.instructions)
+        assert system.interpreter.stats.instructions == (
+            interp.stats.instructions
+        )
+        assert system.profiler.block_counts == reference.block_counts
+        assert system.profiler.edge_counts == reference.edge_counts
+        assert system.profiler._last_pc == reference._last_pc
 
 
 class TestCollectorCounters:

@@ -257,6 +257,40 @@ class TestPersistentTier:
                 not path.exists() or path.read_bytes() != b"not a pickle"
             )
 
+    def test_blob_of_another_translation_schema_misses(self, monkeypatch):
+        """A blob persisted under another translation layout (an older
+        runtime's full object graph) is never loaded: the schema token
+        is part of the key, so the lookup misses and re-translates."""
+        import repro.opt.pipeline as pipeline_mod
+
+        current = pipeline_mod.TRANSLATION_SCHEMA
+        monkeypatch.setattr(pipeline_mod, "TRANSLATION_SCHEMA", current - 1)
+        old = OptimizationPipeline(MachineModel()).optimize(_spec_block())
+        assert list((self.root / "translations").glob("*.pkl"))
+
+        monkeypatch.setattr(pipeline_mod, "TRANSLATION_SCHEMA", current)
+        reset_translation_cache()
+        tracer = Tracer()
+        fresh = OptimizationPipeline(
+            MachineModel(), tracer=tracer
+        ).optimize(_spec_block())
+        assert tracer.counters.get("translate.persist_hits", 0) == 0
+        assert tracer.counters.get("translate.persist_misses", 0) == 1
+        assert tracer.counters.get("translate.cache_misses", 0) == 1
+        assert _fingerprint(fresh) == _fingerprint(old)
+
+    def test_hit_and_miss_return_the_same_lean_type(self):
+        from repro.opt.pipeline import AllocationSummary, OptimizedRegion
+
+        pipeline = OptimizationPipeline(MachineModel())
+        miss = pipeline.optimize(_spec_block())
+        hit = pipeline.optimize(_spec_block())
+        assert type(miss) is type(hit) is OptimizedRegion
+        assert type(miss.allocation) is type(hit.allocation)
+        assert type(hit.allocation) is AllocationSummary
+        assert set(vars(hit)) == set(vars(miss))
+        assert not {"allocator", "dependences", "analysis"} & set(vars(hit))
+
     def test_unwritable_root_is_nonfatal(self, monkeypatch):
         # A plain file where the cache directory should be: every mkdir
         # under it fails with OSError.
