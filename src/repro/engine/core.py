@@ -168,7 +168,7 @@ class ExecutionEngine:
         if tc_lookups:
             rate = f" ({tc_hits / tc_lookups:.0%} hit)"
             stage_bits = []
-            for stage in ("elim", "deps", "ddg", "prep"):
+            for stage in ("elim", "deps"):
                 hits = c.get(f"translate.{stage}_hits", 0)
                 total = hits + c.get(f"translate.{stage}_misses", 0)
                 if total:

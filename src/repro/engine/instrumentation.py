@@ -52,12 +52,11 @@ Counter names used by the simulation stack:
     hit clones a previously optimized region instead of re-optimizing);
 ``translate.cache_stores``
     optimized regions serialized into the translation cache;
-``translate.elim_hits`` / ``translate.deps_hits`` / ``translate.ddg_hits``
-    / ``translate.prep_hits``
+``translate.elim_hits`` / ``translate.deps_hits``
     stage-memo hits inside a full-translation miss: the elimination
-    blob, base memory dependences, DDG structure, and scheduler priority
-    tables reused from an earlier translation of the same content
-    (each has a matching ``*_misses`` counter);
+    blob and the base memory dependences reused from an earlier
+    translation of the same content (each has a matching ``*_misses``
+    counter);
 ``translate.persist_hits`` / ``translate.persist_misses`` /
 ``translate.persist_stores``
     persistent-tier traffic (opt-in, see

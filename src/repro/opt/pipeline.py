@@ -21,12 +21,14 @@ refusing to speculate on that pair.
 Translation is memoized at two granularities (see
 :mod:`repro.opt.translation_cache`): whole translations are served from a
 content-keyed cache, and on a full-tier miss the stage products — the
-post-elimination block (``elim``), base memory dependences (``deps``),
-DDG structure (``ddg``) and scheduler priority tables (``prep``) — are
-memoized with stage-precise keys. Because base dependence classification
-ignores alias hints while eliminations and scheduling read them, a
-re-optimization after an alias exception recomputes constraints and
-allocation but reuses the DDG when the transformed block is unchanged.
+post-elimination block (``elim``), base memory dependences (``deps``)
+and the alias certificate (``certify``) — are memoized with
+stage-precise keys. Because base dependence classification ignores alias
+hints while eliminations and scheduling read them, a re-optimization
+after an alias exception recomputes constraints and allocation but
+reuses the dependences when the transformed block is unchanged. The DDG
+and the schedule are rebuilt on every miss: both work on block
+positions, and a memo of them measured no faster end to end.
 The sub-phases are tracer-visible as ``optimize.constraints``,
 ``optimize.certify`` (when :attr:`OptimizerConfig.certify` is on — see
 :mod:`repro.analysis.certify`), ``optimize.ddg``, ``optimize.schedule``
@@ -43,7 +45,6 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.aliasinfo import AliasAnalysis
 from repro.analysis.certify import (
-    Certificate,
     certify_enabled,
     certify_region,
     check_certificate,
@@ -152,7 +153,7 @@ def summarize_allocation(
 #: Version of the :class:`OptimizedRegion` layout, folded into every
 #: full-tier translation key: persisted blobs of another layout then
 #: miss instead of loading into this runtime.
-TRANSLATION_SCHEMA = 2
+TRANSLATION_SCHEMA = 3
 
 
 @dataclass
@@ -173,8 +174,10 @@ class OptimizedRegion:
     loads_eliminated: int
     stores_eliminated: int
     config: OptimizerConfig
-    #: checker-accepted alias certificate, when certification ran
-    certificate: Optional[Certificate] = None
+    #: number of dependence pairs the checker-accepted alias certificate
+    #: certified (their constraints were dropped); None when
+    #: certification did not run or the checker rejected the certificate
+    certified_pairs: Optional[int] = None
 
     @property
     def length_cycles(self) -> int:
@@ -212,11 +215,6 @@ class OptimizationPipeline:
         self._config_digest_memo: Optional[Tuple[Tuple, str]] = None
         self._env_digest = _digest(
             {"region_map": self.region_map, "regs": self.register_regions}
-        )
-        self._latency_sig = tuple(
-            sorted(
-                (op.name, lat) for op, (_unit, lat) in machine.op_table.items()
-            )
         )
         self._machine_digest = _digest(machine)
 
@@ -289,35 +287,6 @@ class OptimizationPipeline:
         hints and speculation bans are deliberately absent, which is what
         lets a post-exception re-optimization hit this tier."""
         return ("deps", self._env_digest, content2)
-
-    def _ddg_key(self, content2, cert_sig=()) -> Tuple:
-        c = self.config
-        key = (
-            "ddg",
-            self._env_digest,
-            self._latency_sig,
-            c.allow_store_reorder,
-            c.speculation_policy,
-            content2,
-        )
-        if cert_sig:
-            # Certified pairs were dropped before DDG construction; the
-            # structure differs from the uncertified one. Appending only
-            # when non-empty keeps zero-drop certification sharing the
-            # plain DDG memo byte-for-byte.
-            key += (("certified", cert_sig),)
-        return key
-
-    def _prep_key(self, content2, hints_key, banned_key, cert_sig=()) -> Tuple:
-        c = self.config
-        return (
-            "prep",
-            self._ddg_key(content2, cert_sig),
-            c.speculate,
-            c.alias_rate_threshold,
-            hints_key,
-            banned_key,
-        )
 
     # ------------------------------------------------------------------
     def optimize(self, original: Superblock) -> OptimizedRegion:
@@ -465,8 +434,7 @@ class OptimizationPipeline:
                         ),
                         tracer,
                     )
-        certificate: Optional[Certificate] = None
-        cert_sig: Tuple = ()
+        certified_pairs: Optional[int] = None
         if config.certify and certify_enabled():
             with tracer.phase("optimize.certify"):
                 cert = None
@@ -509,8 +477,8 @@ class OptimizationPipeline:
                     # nothing; the region keeps its full constraint set.
                     tracer.count("certify.rejected")
                 else:
-                    certificate = cert
                     pairs = cert.certified_pairs()
+                    certified_pairs = len(pairs)
                     if pairs:
                         positions = {
                             inst.uid: idx for idx, inst in enumerate(block)
@@ -526,7 +494,6 @@ class OptimizationPipeline:
                             len(base_deps) - len(kept),
                         )
                         base_deps = kept
-                        cert_sig = tuple(sorted(pairs))
                     tracer.count("certify.pairs_certified", len(pairs))
 
         deps = DependenceSet(base_deps)
@@ -536,33 +503,13 @@ class OptimizationPipeline:
             deps.add(dep)
 
         with tracer.phase("optimize.ddg"):
-            ddg = None
-            if cache is not None:
-                structural = cache.get_stage(
-                    "ddg", self._ddg_key(content2, cert_sig), tracer
-                )
-                if structural is not None:
-                    ddg = DataDependenceGraph.from_structural(
-                        block,
-                        self.machine,
-                        structural,
-                        speculation_policy=config.speculation_policy,
-                    )
-            if ddg is None:
-                ddg = DataDependenceGraph(
-                    block,
-                    self.machine,
-                    memory_dependences=list(deps),
-                    allow_store_reorder=config.allow_store_reorder,
-                    speculation_policy=config.speculation_policy,
-                )
-                if cache is not None:
-                    cache.put_stage(
-                        "ddg",
-                        self._ddg_key(content2, cert_sig),
-                        ddg.structural(),
-                        tracer,
-                    )
+            ddg = DataDependenceGraph(
+                block,
+                self.machine,
+                memory_dependences=list(deps),
+                allow_store_reorder=config.allow_store_reorder,
+                speculation_policy=config.speculation_policy,
+            )
 
         with tracer.phase("optimize.schedule"):
             sched_config = SchedulerConfig(
@@ -601,19 +548,7 @@ class OptimizationPipeline:
             scheduler = ListScheduler(
                 self.machine, sched_config, hook, tracer=tracer
             )
-            prep = None
-            if cache is not None:
-                prep_key = self._prep_key(
-                    content2, hints_key, banned_key, cert_sig
-                )
-                prep = cache.get_stage("prep", prep_key, tracer)
-            if prep is None:
-                prep = scheduler.prepare(ddg, alias_analysis=analysis)
-                if cache is not None:
-                    cache.put_stage("prep", prep_key, prep, tracer)
-            schedule = scheduler.schedule(
-                ddg, alias_analysis=analysis, prep=prep
-            )
+            schedule = scheduler.schedule(ddg, alias_analysis=analysis)
 
         return OptimizedRegion(
             block=block,
@@ -622,7 +557,7 @@ class OptimizationPipeline:
             loads_eliminated=load_result.eliminated,
             stores_eliminated=store_result.eliminated,
             config=config,
-            certificate=certificate,
+            certified_pairs=certified_pairs,
         )
 
     # ------------------------------------------------------------------

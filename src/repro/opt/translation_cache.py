@@ -10,24 +10,25 @@ from memory:
 * **full tier** — a fingerprint-keyed store of pickled
   :class:`~repro.opt.pipeline.OptimizedRegion` blobs. A translation
   holds only what the runtime and the reports read (block, schedule,
-  allocation summary, elimination counts, certificate, config), so a hit
-  deserializes a small private clone (internal identity preserved,
-  nothing shared with other consumers) at a fraction of the cost of
-  re-optimizing. Blobs are serialized *at translation time*, before the
+  allocation summary, elimination counts, certified-pair count, config),
+  so a hit deserializes a small private clone (internal identity
+  preserved, nothing shared with other consumers) at a fraction of the
+  cost of re-optimizing. Blobs are serialized *at translation time*, before the
   VLIW simulator attaches its unpicklable compiled-trace closures. The
   key carries :data:`~repro.opt.pipeline.TRANSLATION_SCHEMA`, so blobs of
   another translation layout never load.
 * **stage tiers** — when the full tier misses (a new scheme, a new hint
   set), scheme-independent intermediate products are still reusable:
   the post-elimination block (``elim``), the base memory dependences
-  (``deps``, stored as index triples), the DDG structure (``ddg``, see
-  :meth:`~repro.sched.ddg.DataDependenceGraph.structural`) and the
-  scheduler's priority tables (``prep``,
-  :class:`~repro.sched.list_scheduler.SchedulePrep`). Each tier's key
-  covers precisely the inputs that stage reads — e.g. alias hints are
-  excluded from ``deps``/``ddg`` keys because classification ignores
-  them, which is what lets an alias-exception re-optimization reuse the
-  DDG while recomputing constraints and allocation.
+  (``deps``, stored as index triples) and the alias certificate
+  (``certify``, rechecked on every hit). Each tier's key covers
+  precisely the inputs that stage reads — e.g. alias hints are excluded
+  from the ``deps`` key because classification ignores them, which is
+  what lets an alias-exception re-optimization reuse the dependences
+  while recomputing constraints and allocation. The DDG and the
+  scheduler's tables have no tier: both are position-indexed, and
+  rebuilding them on every miss measured no slower end to end than
+  memoizing them (docs/PERF.md "Position-indexed optimizer core").
 * **persistent tier** (opt-in, full translations only) — blobs under
   ``$REPRO_CACHE_DIR``/``~/.cache/repro`` in ``translations/``, enabled
   with ``SMARQ_TRANSLATION_CACHE_PERSIST=1``. Corrupt entries degrade to
@@ -68,7 +69,7 @@ _DEFAULT_ROOT = "~/.cache/repro"
 _DEFAULT_ENTRIES = 512
 
 #: stage tier names (each an independent LRU)
-STAGES = ("elim", "deps", "ddg", "prep", "certify")
+STAGES = ("elim", "deps", "certify")
 
 
 def region_content_key(block) -> Tuple:

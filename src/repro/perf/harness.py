@@ -199,7 +199,7 @@ def _translate_summary(counters: Dict[str, int]) -> Dict[str, object]:
         "stores": counters.get("translate.cache_stores", 0),
         "hit_rate": (hits / lookups) if lookups else 0.0,
     }
-    for stage in ("elim", "deps", "ddg", "prep"):
+    for stage in ("elim", "deps"):
         summary[f"{stage}_hits"] = counters.get(f"translate.{stage}_hits", 0)
         summary[f"{stage}_misses"] = counters.get(
             f"translate.{stage}_misses", 0

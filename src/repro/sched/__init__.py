@@ -4,7 +4,8 @@
   (the reproduction's stand-in for the paper's Table 2 parameters).
 * :mod:`repro.sched.ddg` — data-dependence graph over a superblock
   (register flow/anti/output edges, control edges to side exits, and the
-  memory dependences from :mod:`repro.analysis.dependence`).
+  memory dependences from :mod:`repro.analysis.dependence`), kept as one
+  position-indexed edge tuple.
 * :mod:`repro.sched.list_scheduler` — cycle-driven list scheduler that the
   SMARQ allocator (:mod:`repro.smarq.allocator`) hooks into. It honours
   memory dependences in non-speculative mode and may break MAY-alias
@@ -13,7 +14,7 @@
 """
 
 from repro.sched.machine import FunctionalUnit, MachineModel, VLIW_DEFAULT
-from repro.sched.ddg import DataDependenceGraph, DdgEdge, EdgeKind
+from repro.sched.ddg import DataDependenceGraph
 from repro.sched.list_scheduler import ListScheduler, ScheduleResult, SchedulerConfig
 from repro.sched.modulo import (
     ModuloSchedule,
@@ -24,8 +25,6 @@ from repro.sched.modulo import (
 
 __all__ = [
     "DataDependenceGraph",
-    "DdgEdge",
-    "EdgeKind",
     "FunctionalUnit",
     "ListScheduler",
     "MachineModel",

@@ -13,45 +13,38 @@ Edges:
 * **memory**: the dependences from :mod:`repro.analysis.dependence`. Each
   memory edge is tagged with whether it is breakable by alias speculation
   (MAY alias) or not (MUST alias).
+
+The graph *is* its edge list: one ``(src_position, dst_position, kind,
+latency, breakable)`` tuple per edge, positions indexing the block in
+program order. No per-edge or per-instruction objects are built, and the
+scheduler reads the tuples directly.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.analysis.dependence import Dependence
-from repro.ir.instruction import Instruction
 
+#: edge kinds (the third field of an edge tuple)
+FLOW = "flow"
+ANTI = "anti"
+OUTPUT = "output"
+CONTROL = "control"
+MEMORY = "memory"
 
-class EdgeKind(enum.Enum):
-    FLOW = "flow"
-    ANTI = "anti"
-    OUTPUT = "output"
-    CONTROL = "control"
-    MEMORY = "memory"
-
-
-@dataclass(frozen=True)
-class DdgEdge:
-    src: Instruction
-    dst: Instruction
-    kind: EdgeKind
-    latency: int = 0
-    #: memory edges only: True when the optimizer may speculatively break
-    #: this edge (MAY alias) relying on alias hardware.
-    speculative_breakable: bool = False
-
-    def __repr__(self) -> str:
-        return (
-            f"<{self.src!r} -{self.kind.value}/{self.latency}-> {self.dst!r}"
-            f"{' (spec)' if self.speculative_breakable else ''}>"
-        )
+#: ``(src_position, dst_position, kind, latency, breakable)``; only
+#: memory edges are ever breakable (MAY alias the optimizer may
+#: speculatively reorder, relying on alias hardware)
+Edge = Tuple[int, int, str, int, bool]
 
 
 class DataDependenceGraph:
-    """DDG in original program order, built once per superblock."""
+    """DDG in original program order, built once per superblock.
+
+    ``edges`` holds every edge in global insertion order; every edge
+    points forward in program order (``src_position < dst_position``).
+    """
 
     def __init__(
         self,
@@ -60,241 +53,118 @@ class DataDependenceGraph:
         memory_dependences: Iterable[Dependence] = (),
         allow_store_reorder: bool = True,
         speculation_policy: str = "full",
-        _structural: Optional[Tuple[Tuple[int, int, str, int, bool], ...]] = None,
     ) -> None:
         """``speculation_policy`` is ``"full"`` (any MAY-alias pair may be
         reordered) or ``"loads_only"`` (only loads may hoist above stores —
-        the ALAT restriction). ``_structural`` replays a previously built
-        graph's edge list (see :meth:`structural`) instead of deriving the
-        edges — the translation cache's DDG memo."""
+        the ALAT restriction)."""
         if speculation_policy not in ("full", "loads_only"):
             raise ValueError(f"unknown speculation policy {speculation_policy!r}")
         self.block = block
-        self.machine = machine
-        self._speculation_policy = speculation_policy
-        self._succ: Dict[int, List[DdgEdge]] = {}
-        self._pred: Dict[int, List[DdgEdge]] = {}
-        self._insts: Dict[int, Instruction] = {}
-        #: every edge in global insertion order (the structural memo form)
-        self._edges: List[DdgEdge] = []
-        #: dedup index: (src_uid, dst_uid, kind) -> highest latency kept
-        self._best: Dict[Tuple[int, int, EdgeKind], int] = {}
-        for inst in block:
-            self._succ[inst.uid] = []
-            self._pred[inst.uid] = []
-            self._insts[inst.uid] = inst
-        if _structural is not None:
-            self._replay_structural(block, _structural)
-        else:
-            self._build_register_edges(block, machine)
-            self._build_control_edges(block)
-            self._build_memory_edges(
-                block, memory_dependences, allow_store_reorder
-            )
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def _add(self, edge: DdgEdge) -> None:
-        if edge.src is edge.dst:
-            return
+        instructions = list(block)
+        built: List[Edge] = []
         # Duplicate (src, dst, kind) edges (e.g. a register used twice)
-        # keep only the highest latency; successive survivors strictly
-        # increase, so one running maximum decides in O(1).
-        key = (edge.src.uid, edge.dst.uid, edge.kind)
-        best = self._best.get(key)
-        if best is not None and edge.latency <= best:
-            return
-        self._best[key] = edge.latency
-        self._succ[edge.src.uid].append(edge)
-        self._pred[edge.dst.uid].append(edge)
-        self._edges.append(edge)
+        # are dropped unless their latency exceeds every earlier one's;
+        # successive survivors strictly increase, so one running maximum
+        # decides in O(1).
+        best: Dict[Tuple[int, int, str], int] = {}
 
-    def _build_register_edges(self, block, machine) -> None:
-        last_def: Dict[int, Instruction] = {}
-        uses_since_def: Dict[int, List[Instruction]] = {}
-        for inst in block:
-            for reg in inst.uses():
-                producer = last_def.get(reg)
-                if producer is not None:
-                    self._add(
-                        DdgEdge(
-                            producer,
-                            inst,
-                            EdgeKind.FLOW,
-                            latency=machine.latency_of(producer),
-                        )
-                    )
-                uses_since_def.setdefault(reg, []).append(inst)
-            for reg in inst.defs():
-                previous = last_def.get(reg)
-                if previous is not None:
-                    self._add(DdgEdge(previous, inst, EdgeKind.OUTPUT, latency=1))
-                for user in uses_since_def.get(reg, ()):
-                    self._add(DdgEdge(user, inst, EdgeKind.ANTI, latency=0))
-                last_def[reg] = inst
-                uses_since_def[reg] = []
+        def add(src: int, dst: int, kind: str, latency: int,
+                breakable: bool = False) -> None:
+            if src == dst:
+                return
+            key = (src, dst, kind)
+            previous = best.get(key)
+            if previous is not None and latency <= previous:
+                return
+            best[key] = latency
+            built.append((src, dst, kind, latency, breakable))
 
-    def _build_control_edges(self, block) -> None:
-        instructions = list(block)
-        branches = [i for i in instructions if i.is_branch]
-        if not branches:
-            return
-        final = instructions[-1]
-        # Each branch pins every *later* store (a store may not become
-        # architectural on a path that already left the region) and every
-        # later branch (branches stay ordered). Only stores/branches can be
-        # edge targets, so scan that subsequence instead of the whole block.
-        targets = [
-            (idx, inst)
-            for idx, inst in enumerate(instructions)
-            if inst.is_store or inst.is_branch
-        ]
-        positions = {inst.uid: idx for idx, inst in enumerate(instructions)}
-        for branch in branches:
-            bpos = positions[branch.uid]
-            for ipos, inst in targets:
-                if ipos <= bpos:
-                    continue
-                if inst.is_store:
-                    self._add(DdgEdge(branch, inst, EdgeKind.CONTROL, latency=0))
-                # Branches stay in order relative to each other.
-                if inst.is_branch and inst is not branch:
-                    self._add(DdgEdge(branch, inst, EdgeKind.CONTROL, latency=0))
-        # Nothing moves below the terminating branch.
-        if final.is_branch:
-            for inst in instructions[:-1]:
-                self._add(DdgEdge(inst, final, EdgeKind.CONTROL, latency=0))
-
-    def _build_memory_edges(
-        self,
-        block,
-        memory_dependences: Iterable[Dependence],
-        allow_store_reorder: bool,
-    ) -> None:
-        positions = {inst.uid: idx for idx, inst in enumerate(block)}
-        for dep in memory_dependences:
-            if dep.extended:
-                # Extended dependences do not order the schedule; they only
-                # produce constraints (the allocator consumes them directly).
-                continue
-            if dep.src.uid not in positions or dep.dst.uid not in positions:
-                continue
-            breakable = not dep.must
-            if (
-                breakable
-                and not allow_store_reorder
-                and dep.src.is_store
-                and dep.dst.is_store
-            ):
-                # Store-store reordering disabled (Itanium model / Fig 16).
-                breakable = False
-            if breakable and self._speculation_policy == "loads_only":
-                # Only "hoist later load above earlier store" is breakable.
-                breakable = dep.dst.is_load
-
-            self._add(
-                DdgEdge(
-                    dep.src,
-                    dep.dst,
-                    EdgeKind.MEMORY,
-                    latency=1 if dep.src.is_store or dep.dst.is_store else 0,
-                    speculative_breakable=breakable,
-                )
-            )
-
-    # ------------------------------------------------------------------
-    # Structural memoization (translation cache)
-    # ------------------------------------------------------------------
-    def structural(self) -> Tuple[Tuple[int, int, str, int, bool], ...]:
-        """Identity-free form of the edge list: ``(src_position,
-        dst_position, kind, latency, breakable)`` in global insertion
-        order. Replaying it over any block with identical content rebuilds
-        a graph whose per-instruction edge lists match this one's exactly.
-        """
-        positions = {
-            inst.uid: idx for idx, inst in enumerate(self.block)
-        }
-        return tuple(
-            (
-                positions[e.src.uid],
-                positions[e.dst.uid],
-                e.kind.value,
-                e.latency,
-                e.speculative_breakable,
-            )
-            for e in self._edges
+        _register_edges(instructions, machine, add)
+        _control_edges(instructions, add)
+        _memory_edges(
+            instructions,
+            memory_dependences,
+            allow_store_reorder,
+            speculation_policy,
+            add,
         )
+        self.edges: Tuple[Edge, ...] = tuple(built)
 
-    def _replay_structural(
-        self, block, structural: Tuple[Tuple[int, int, str, int, bool], ...]
-    ) -> None:
-        instructions = list(block)
-        for src_pos, dst_pos, kind, latency, breakable in structural:
-            edge = DdgEdge(
-                instructions[src_pos],
-                instructions[dst_pos],
-                EdgeKind(kind),
-                latency=latency,
-                speculative_breakable=breakable,
-            )
-            # Already deduplicated at build time: append directly.
-            self._succ[edge.src.uid].append(edge)
-            self._pred[edge.dst.uid].append(edge)
-            self._edges.append(edge)
 
-    @classmethod
-    def from_structural(
-        cls,
-        block,
-        machine,
-        structural: Tuple[Tuple[int, int, str, int, bool], ...],
-        speculation_policy: str = "full",
-    ) -> "DataDependenceGraph":
-        """Rebuild a graph from :meth:`structural` output (cache hit)."""
-        return cls(
-            block,
-            machine,
-            speculation_policy=speculation_policy,
-            _structural=structural,
+def _register_edges(instructions, machine, add) -> None:
+    last_def: Dict[int, int] = {}
+    uses_since_def: Dict[int, List[int]] = {}
+    latency_of = machine.latency_of
+    for pos, inst in enumerate(instructions):
+        for reg in inst.uses():
+            producer = last_def.get(reg)
+            if producer is not None:
+                add(producer, pos, FLOW, latency_of(instructions[producer]))
+            uses_since_def.setdefault(reg, []).append(pos)
+        for reg in inst.defs():
+            previous = last_def.get(reg)
+            if previous is not None:
+                add(previous, pos, OUTPUT, 1)
+            for user in uses_since_def.get(reg, ()):
+                add(user, pos, ANTI, 0)
+            last_def[reg] = pos
+            uses_since_def[reg] = []
+
+
+def _control_edges(instructions, add) -> None:
+    # Each branch pins every *later* store (a store may not become
+    # architectural on a path that already left the region) and every
+    # later branch (branches stay ordered). Only stores/branches can be
+    # edge targets, so scan that subsequence instead of the whole block.
+    targets = [
+        pos
+        for pos, inst in enumerate(instructions)
+        if inst.is_store or inst.is_branch
+    ]
+    for first, bpos in enumerate(targets):
+        if instructions[bpos].is_branch:
+            for ipos in targets[first + 1:]:
+                add(bpos, ipos, CONTROL, 0)
+    # Nothing moves below the terminating branch.
+    if instructions and instructions[-1].is_branch:
+        final = len(instructions) - 1
+        for pos in range(final):
+            add(pos, final, CONTROL, 0)
+
+
+def _memory_edges(
+    instructions,
+    memory_dependences: Iterable[Dependence],
+    allow_store_reorder: bool,
+    speculation_policy: str,
+    add,
+) -> None:
+    positions = {inst.uid: pos for pos, inst in enumerate(instructions)}
+    for dep in memory_dependences:
+        if dep.extended:
+            # Extended dependences do not order the schedule; they only
+            # produce constraints (the allocator consumes them directly).
+            continue
+        src = positions.get(dep.src.uid)
+        dst = positions.get(dep.dst.uid)
+        if src is None or dst is None:
+            continue
+        breakable = not dep.must
+        if (
+            breakable
+            and not allow_store_reorder
+            and dep.src.is_store
+            and dep.dst.is_store
+        ):
+            # Store-store reordering disabled (Itanium model / Fig 16).
+            breakable = False
+        if breakable and speculation_policy == "loads_only":
+            # Only "hoist later load above earlier store" is breakable.
+            breakable = dep.dst.is_load
+        add(
+            src,
+            dst,
+            MEMORY,
+            1 if dep.src.is_store or dep.dst.is_store else 0,
+            breakable,
         )
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def successors(self, inst: Instruction) -> List[DdgEdge]:
-        return list(self._succ[inst.uid])
-
-    def predecessors(self, inst: Instruction) -> List[DdgEdge]:
-        return list(self._pred[inst.uid])
-
-    def iter_successors(self, inst: Instruction) -> List[DdgEdge]:
-        """:meth:`successors` without the defensive copy — callers must
-        not mutate the result (hot path: scheduler prep)."""
-        return self._succ[inst.uid]
-
-    def iter_predecessors(self, inst: Instruction) -> List[DdgEdge]:
-        """:meth:`predecessors` without the defensive copy."""
-        return self._pred[inst.uid]
-
-    def instructions(self) -> List[Instruction]:
-        return [self._insts[uid] for uid in self._insts]
-
-    def edge_count(self) -> int:
-        return sum(len(edges) for edges in self._succ.values())
-
-    def critical_path_length(self) -> int:
-        """Longest latency-weighted path (ignoring breakable memory edges
-        is the *speculative* height; this returns the conservative one)."""
-        memo: Dict[int, int] = {}
-
-        order = list(self._insts)
-        # The block is in program order and all edges point forward except
-        # none (we never add backward edges), so a single reverse pass works.
-        for uid in reversed(order):
-            inst = self._insts[uid]
-            best = 0
-            for edge in self._succ[uid]:
-                best = max(best, edge.latency + memo.get(edge.dst.uid, 0))
-            memo[uid] = best
-        return max(memo.values(), default=0)

@@ -20,13 +20,12 @@ operations (``AMOV`` before, ``ROTATE`` after) into the linear output.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.ir.instruction import Instruction
-from repro.sched.ddg import DataDependenceGraph, EdgeKind
+from repro.sched.ddg import DataDependenceGraph
 from repro.sched.machine import MachineModel
 
 
@@ -70,36 +69,41 @@ class AllocatorHook:
 
 @dataclass
 class ScheduleResult:
-    """Outcome of scheduling one superblock."""
+    """Outcome of scheduling one superblock.
+
+    ``cycle_of`` maps uid -> issue cycle: the block's instructions in
+    issue order, then the hook's pseudo-ops in linear order.
+    """
 
     linear: List[Instruction]
     cycle_of: Dict[int, int]
     length_cycles: int
     speculated_pairs: int = 0
-    mode_switches: int = 0
 
     def position(self) -> Dict[int, int]:
         """uid -> index in the linear order."""
         return {inst.uid: idx for idx, inst in enumerate(self.linear)}
 
 
-@dataclass(frozen=True)
+@dataclass
 class SchedulePrep:
-    """Precomputed readiness and priority tables for one schedule.
+    """Readiness and priority tables for one schedule, indexed by block
+    position.
 
-    Everything here is a pure function of the DDG structure, the
-    scheduler policy, and the alias profile (hints + bans) — computed by
-    :meth:`ListScheduler.prepare` and *position*-indexed (not uid-indexed)
-    so the translation cache can reuse one prep across blocks with
-    identical content. ``succ_adj[i]`` holds ``(dst_position, latency,
-    honoured)`` per outgoing edge; ``honoured`` is the per-edge constant
-    the readiness loop tests instead of re-deriving the speculation rules.
+    Everything here is a pure function of the DDG edges, the scheduler
+    policy and the alias profile (hints + bans), computed by
+    :meth:`ListScheduler.prepare`. ``succ_adj[i]`` holds ``(dst_position,
+    latency, honoured)`` per outgoing edge; ``honoured`` is the per-edge
+    constant the readiness loop tests instead of re-deriving the
+    speculation rules. ``hard_left``/``spec_left`` count each position's
+    honoured/breakable incoming edges; :meth:`ListScheduler.schedule`
+    builds one per call and counts them down as sources issue.
     """
 
-    hard_left: Tuple[int, ...]
-    spec_left: Tuple[int, ...]
-    succ_adj: Tuple[Tuple[Tuple[int, int, bool], ...], ...]
-    height: Tuple[int, ...]
+    hard_left: List[int]
+    spec_left: List[int]
+    succ_adj: List[List[Tuple[int, int, bool]]]
+    height: List[int]
 
 
 class ListScheduler:
@@ -125,55 +129,41 @@ class ListScheduler:
     ) -> SchedulePrep:
         """Build the position-indexed readiness/priority tables.
 
-        Split out of :meth:`schedule` so the optimization pipeline can
-        memoize the result: the tables depend only on DDG structure,
-        policy, and profile state, never on the allocator hook.
+        Whether an edge is a hard ordering requirement depends only on
+        inputs fixed for the whole schedule (the speculation mode, the
+        store-reorder policy, the alias analysis), so it is decided once
+        per edge here and the readiness loop tests a precomputed bool.
         """
         instructions = list(ddg.block)
         n = len(instructions)
-        pos = {inst.uid: i for i, inst in enumerate(instructions)}
-        speculating = self.config.speculate
-
-        def edge_honoured(edge) -> bool:
-            """Is this edge a hard ordering requirement?
-
-            Every input (the speculation mode, the store-reorder policy,
-            the alias analysis) is fixed for the duration of one schedule,
-            so the answer is a per-edge constant and is evaluated exactly
-            once here — the readiness loop then tests a precomputed bool
-            instead of re-deriving this chain per instruction per cycle.
-            """
-            if edge.kind is not EdgeKind.MEMORY:
-                return True
-            if not edge.speculative_breakable:
-                return True
-            if not speculating:
-                return True
-            if not self.config.allow_store_reorder and (
-                edge.src.is_store and edge.dst.is_store
-            ):
-                return True
-            if alias_analysis is not None:
-                if alias_analysis.speculation_banned(
-                    edge.src
-                ) or alias_analysis.speculation_banned(edge.dst):
-                    return True
-                rate = alias_analysis.alias_rate(edge.src, edge.dst)
-                if rate > self.config.alias_rate_threshold:
-                    return True
-            return False
+        config = self.config
+        speculating = config.speculate
+        reorder_stores = config.allow_store_reorder
+        threshold = config.alias_rate_threshold
 
         hard = [0] * n
         spec = [0] * n
         succ: List[List[Tuple[int, int, bool]]] = [[] for _ in range(n)]
-        for di, inst in enumerate(instructions):
-            for edge in ddg.iter_predecessors(inst):
-                honoured = edge_honoured(edge)
-                if honoured:
-                    hard[di] += 1
-                else:
-                    spec[di] += 1
-                succ[pos[edge.src.uid]].append((di, edge.latency, honoured))
+        for src, dst, _kind, latency, breakable in ddg.edges:
+            honoured = not (breakable and speculating)
+            if not honoured:
+                a = instructions[src]
+                b = instructions[dst]
+                honoured = (
+                    not reorder_stores and a.is_store and b.is_store
+                ) or (
+                    alias_analysis is not None
+                    and (
+                        alias_analysis.speculation_banned(a)
+                        or alias_analysis.speculation_banned(b)
+                        or alias_analysis.alias_rate(a, b) > threshold
+                    )
+                )
+            if honoured:
+                hard[dst] += 1
+            else:
+                spec[dst] += 1
+            succ[src].append((dst, latency, honoured))
 
         # Priority: latency-weighted height over always-honoured edges,
         # computed with speculation on (optimistic heights pull loads up).
@@ -182,152 +172,139 @@ class ListScheduler:
         height = [0] * n
         for i in range(n - 1, -1, -1):
             best = 0
-            for dst_pos, latency, honoured in succ[i]:
+            for dst, latency, honoured in succ[i]:
                 if honoured:
-                    candidate = latency + height[dst_pos]
+                    candidate = latency + height[dst]
                     if candidate > best:
                         best = candidate
             height[i] = best
 
-        return SchedulePrep(
-            hard_left=tuple(hard),
-            spec_left=tuple(spec),
-            succ_adj=tuple(tuple(entries) for entries in succ),
-            height=tuple(height),
-        )
+        return SchedulePrep(hard, spec, succ, height)
 
     # ------------------------------------------------------------------
     def schedule(
-        self,
-        ddg: DataDependenceGraph,
-        alias_analysis=None,
-        prep: Optional[SchedulePrep] = None,
+        self, ddg: DataDependenceGraph, alias_analysis=None
     ) -> ScheduleResult:
         instructions = list(ddg.block)
         n = len(instructions)
-        program_pos = {inst.uid: i for i, inst in enumerate(instructions)}
-        by_uid = {inst.uid: inst for inst in instructions}
-        if prep is None:
-            prep = self.prepare(ddg, alias_analysis)
+        prep = self.prepare(ddg, alias_analysis)
 
-        # Readiness is maintained incrementally instead of re-derived by
-        # walking predecessor lists every cycle: per uid we keep the count
-        # of honoured/breakable predecessor edges whose source is still
-        # unscheduled, plus a running earliest-issue cycle updated when a
-        # source is placed. The per-candidate test is then O(1), and the
-        # functional unit and latency are resolved once per instruction
-        # (no enum hashing per cycle). The tables come position-indexed
-        # from ``prep`` (possibly memoized) and are re-keyed by uid here
-        # because this block's uids are private to it.
-        uids = [inst.uid for inst in instructions]
-        hard_left: Dict[int, int] = dict(zip(uids, prep.hard_left))
-        spec_left: Dict[int, int] = dict(zip(uids, prep.spec_left))
-        earliest_at: Dict[int, int] = dict.fromkeys(uids, 0)
-        succ_adj: Dict[int, List[Tuple[int, int, bool]]] = {
-            uids[i]: [
-                (uids[dst_pos], latency, honoured)
-                for dst_pos, latency, honoured in prep.succ_adj[i]
-            ]
-            for i in range(n)
-        }
-        height: Dict[int, int] = dict(zip(uids, prep.height))
+        # Readiness is maintained incrementally, per block position: the
+        # count of honoured/breakable incoming edges whose source is still
+        # unscheduled, a running earliest-issue cycle raised as sources
+        # are placed, and the ready set of positions whose honoured
+        # sources are all placed. A pass over one cycle only looks at the
+        # ready set, and the functional unit is resolved once per
+        # instruction.
+        hard_left = prep.hard_left
+        spec_left = prep.spec_left
+        succ_adj = prep.succ_adj
+        height = prep.height
+        earliest_at = [0] * n
         op_table = self.machine.op_table
-        unit_lat = {inst.uid: op_table[inst.opcode] for inst in instructions}
+        units = [op_table[inst.opcode][0] for inst in instructions]
+        slots_for = self.machine.slots_for
+        capacity = {unit: slots_for(unit) for unit in set(units)}
+        issue_width = self.machine.issue_width
+        allowed = self.hook.speculation_allowed
+        on_scheduled = self.hook.on_scheduled
 
         track_alloc = self.tracer.active
         alloc_seconds = 0.0
 
-        scheduled: Dict[int, int] = {}  # uid -> cycle
+        cycle_of: Dict[int, int] = {}  # uid -> cycle, in issue order
         linear: List[Instruction] = []
         speculated_pairs = 0
-        mode_switches = 0
-
+        ready = {i for i in range(n) if not hard_left[i]}
+        remaining = n
         cycle = 0
-        remaining = set(inst.uid for inst in instructions)
-
-        def ready_info(uid: int) -> Tuple[bool, int, bool]:
-            """(deps_satisfied, earliest_cycle, is_speculative_now)."""
-            if hard_left[uid]:
-                return (False, 0, False)
-            return (True, earliest_at[uid], spec_left[uid] > 0)
-
-        safety_limit = 50 * (n + 1) + 10000
-        iterations = 0
         # Per-cycle resource state persists until the cycle advances.
         slots_used: Dict[object, int] = {}
         issued = 0
-        issue_width = self.machine.issue_width
-        slots_for = self.machine.slots_for
         while remaining:
-            iterations += 1
-            if iterations > safety_limit:
-                raise RuntimeError("scheduler failed to converge (cycle in DDG?)")
-
-            # Collect instructions issuable this cycle.
-            candidates: List[Tuple[int, int, Instruction, bool]] = []
-            for uid in remaining:
-                if hard_left[uid] or earliest_at[uid] > cycle:
+            # Collect instructions issuable this cycle. The hook is asked
+            # about every speculative one, every pass: its answer (and its
+            # throttle count) follows its register pressure.
+            candidates: List[Tuple[int, int, bool]] = []
+            throttled = False
+            for i in ready:
+                if earliest_at[i] > cycle:
                     continue
-                speculative = spec_left[uid] > 0
-                if speculative and not self.hook.speculation_allowed(
-                    by_uid[uid]
-                ):
+                speculative = spec_left[i] > 0
+                if speculative and not allowed(instructions[i]):
+                    throttled = True
                     continue
-                candidates.append(
-                    (-height[uid], program_pos[uid], by_uid[uid], speculative)
-                )
+                candidates.append((-height[i], i, speculative))
             if not candidates:
-                cycle += 1
+                if not ready:
+                    raise RuntimeError(
+                        "scheduler failed to converge (cycle in DDG?)"
+                    )
+                # Jump to the first cycle anything ready can issue in,
+                # unless the hook throttled a candidate: it is asked
+                # again every cycle (its throttle count sees every ask).
+                cycle = (
+                    cycle + 1
+                    if throttled
+                    else min(earliest_at[i] for i in ready)
+                )
                 slots_used = {}
                 issued = 0
                 continue
-            candidates.sort(key=lambda c: (c[0], c[1]))
+            candidates.sort()
 
-            # Fill what remains of this cycle's slots.
+            # Fill what remains of this cycle's slots. Instructions made
+            # ready by this pass's issues wait for the next pass.
             issued_any = False
-            for _, _, inst, speculative in candidates:
+            for _, i, speculative in candidates:
                 if issued >= issue_width:
                     break
-                unit, _latency = unit_lat[inst.uid]
-                if slots_used.get(unit, 0) >= slots_for(unit):
+                unit = units[i]
+                used = slots_used.get(unit, 0)
+                if used >= capacity[unit]:
                     continue
+                inst = instructions[i]
                 # Re-verify: an issue earlier in this pass may have changed
                 # speculation permission (allocator register pressure).
-                if speculative and not self.hook.speculation_allowed(inst):
+                if speculative and not allowed(inst):
                     continue
-                ok, earliest, speculative_now = ready_info(inst.uid)
-                if not ok or earliest > cycle:
-                    continue
-                slots_used[unit] = slots_used.get(unit, 0) + 1
+                slots_used[unit] = used + 1
                 issued += 1
                 issued_any = True
-                scheduled[inst.uid] = cycle
-                remaining.discard(inst.uid)
-                for dst_uid, latency, honoured in succ_adj[inst.uid]:
-                    if honoured:
-                        hard_left[dst_uid] -= 1
-                        available = cycle + latency
-                        if available > earliest_at[dst_uid]:
-                            earliest_at[dst_uid] = available
-                    else:
-                        spec_left[dst_uid] -= 1
-                if speculative_now and inst.is_mem:
+                cycle_of[inst.uid] = cycle
+                ready.discard(i)
+                remaining -= 1
+                if spec_left[i] and inst.is_mem:
                     speculated_pairs += 1
+                for dst, latency, honoured in succ_adj[i]:
+                    if honoured:
+                        left = hard_left[dst] - 1
+                        hard_left[dst] = left
+                        available = cycle + latency
+                        if available > earliest_at[dst]:
+                            earliest_at[dst] = available
+                        if not left:
+                            ready.add(dst)
+                    else:
+                        spec_left[dst] -= 1
                 if track_alloc:
                     t0 = perf_counter()
-                    before, after = self.hook.on_scheduled(inst, cycle)
+                    before, after = on_scheduled(inst, cycle)
                     alloc_seconds += perf_counter() - t0
                 else:
-                    before, after = self.hook.on_scheduled(inst, cycle)
-                linear.extend(before)
+                    before, after = on_scheduled(inst, cycle)
+                if before:
+                    linear.extend(before)
                 linear.append(inst)
-                linear.extend(after)
+                if after:
+                    linear.extend(after)
             if not issued_any:
                 cycle += 1
                 slots_used = {}
                 issued = 0
 
-        length = 1 + max(scheduled.values(), default=0)
+        # Issue cycles never decrease, so the last issue is the latest.
+        length = 1 + (cycle if n else 0)
         if track_alloc:
             t0 = perf_counter()
             self.hook.on_finish(linear)
@@ -335,24 +312,22 @@ class ListScheduler:
             self.tracer.add_time("optimize.alloc", alloc_seconds)
         else:
             self.hook.on_finish(linear)
-        cycle_of = dict(scheduled)
-        # Pseudo-ops ride along in the issuing instruction's cycle.
-        for idx, inst in enumerate(linear):
-            if inst.uid not in cycle_of:
-                neighbor = next(
-                    (linear[j].uid for j in range(idx + 1, len(linear))
-                     if linear[j].uid in cycle_of),
-                    None,
-                )
-                if neighbor is None:
-                    neighbor_cycle = length - 1
+        if len(linear) > n:
+            # Pseudo-ops ride along in the cycle of the next instruction
+            # of the block after them (the last cycle when none follows).
+            pseudo: List[Tuple[int, int]] = []
+            following = length - 1
+            for inst in reversed(linear):
+                issued_at = cycle_of.get(inst.uid)
+                if issued_at is None:
+                    pseudo.append((inst.uid, following))
                 else:
-                    neighbor_cycle = cycle_of[neighbor]
-                cycle_of[inst.uid] = neighbor_cycle
+                    following = issued_at
+            for uid, at in reversed(pseudo):
+                cycle_of.setdefault(uid, at)
         return ScheduleResult(
             linear=linear,
             cycle_of=cycle_of,
             length_cycles=length,
             speculated_pairs=speculated_pairs,
-            mode_switches=mode_switches,
         )

@@ -267,19 +267,19 @@ class TestPipeline:
     def test_certified_dep_dropped_and_certificate_attached(self):
         block, _ = _walk_block(64)
         region = self._pipeline(certify=True).optimize(block)
-        assert region.certificate is not None
-        assert region.certificate.num_certified >= 1
+        assert region.certified_pairs is not None
+        assert region.certified_pairs >= 1
 
     def test_kill_switch_disables_certification(self, monkeypatch):
         monkeypatch.setenv("SMARQ_NO_CERTIFY", "1")
         block, _ = _walk_block(64)
         region = self._pipeline(certify=True).optimize(block)
-        assert region.certificate is None
+        assert region.certified_pairs is None
 
     def test_non_certifying_config_never_certifies(self):
         block, _ = _walk_block(64)
         region = self._pipeline(certify=False).optimize(block)
-        assert region.certificate is None
+        assert region.certified_pairs is None
 
 
 # ----------------------------------------------------------------------

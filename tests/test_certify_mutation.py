@@ -228,4 +228,4 @@ class TestMutantSanity:
         )
         with prover_overridden(OffByOneSeparationProver()):
             region = pipeline.optimize(block)
-        assert region.certificate is None
+        assert region.certified_pairs is None

@@ -1,10 +1,21 @@
 """Unit tests for the list scheduler."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.analysis.aliasinfo import AliasAnalysis
-from repro.analysis.dependence import compute_dependences
-from repro.ir.instruction import Instruction, Opcode, binop, fbinop, load, movi, store
+from repro.analysis.dependence import DependenceSet, compute_dependences
+from repro.fuzz import generate_case
+from repro.ir.instruction import (
+    Instruction,
+    Opcode,
+    binop,
+    branch,
+    fbinop,
+    load,
+    movi,
+    store,
+)
 from repro.ir.superblock import Superblock
 from repro.sched.ddg import DataDependenceGraph
 from repro.sched.list_scheduler import (
@@ -13,6 +24,14 @@ from repro.sched.list_scheduler import (
     SchedulerConfig,
 )
 from repro.sched.machine import MachineModel, VLIW_DEFAULT
+from repro.smarq.allocator import SmarqAllocator
+from repro.smarq.bitmask_alloc import BitmaskAllocator
+from repro.smarq.plain_order_alloc import PlainOrderAllocator
+
+from tests.reference_scheduler import (
+    DataDependenceGraph as ReferenceDdg,
+    ReferenceScheduler,
+)
 
 
 def schedule(insts, config=None, hook=None, machine=None, **ddg_kwargs):
@@ -164,3 +183,149 @@ class TestScheduleResult:
         block, result = schedule([movi(1, 0)], hook=Splicer())
         for inst in result.linear:
             assert inst.uid in result.cycle_of
+
+
+# ----------------------------------------------------------------------
+# Differential property: the position-indexed core against the
+# uid-dict scheduler and object-edge DDG it replaced
+# ----------------------------------------------------------------------
+HOOKS = ("smarq", "plainorder", "bitmask", "none")
+
+#: (hook, speculation policy, store reorder, speculate): every hook
+#: under both policies with and without store reordering, plus the
+#: non-speculative schedule the no-alias-hardware baseline uses
+COMBOS = [
+    (hook, policy, reorder, True)
+    for hook in HOOKS
+    for policy in ("full", "loads_only")
+    for reorder in (True, False)
+] + [("none", "full", True, False)]
+
+
+def _fuzz_block(seed, exits, hint, ban):
+    """One ``generate_case`` body (plus side exits and a final branch
+    when ``exits``), its alias analysis (an alias hint on one pair and
+    a ban on one op when asked), memory dependences and machine."""
+    case = generate_case(seed)
+    insts = case.body()
+    for k in range(exits):
+        insts.insert((k + 1) * len(insts) // (exits + 1),
+                     branch(Opcode.BEQ, 0, srcs=(20 + k, 21)))
+    if exits:
+        insts.append(branch(Opcode.BR, 0))
+    block = Superblock(instructions=insts)
+    mem = len(block.memory_ops())
+    hints = {}
+    if hint is not None and mem >= 2:
+        lo = hint % (mem - 1)
+        hints[(lo, lo + 1 + hint % (mem - lo - 1))] = 0.9
+    banned = {ban % mem} if ban is not None and mem else set()
+    analysis = AliasAnalysis(
+        block,
+        region_map=case.known_region_map(),
+        initial_regions=case.known_initial_regions(),
+        alias_hints=hints,
+        no_speculate=banned,
+    )
+    deps = compute_dependences(block, analysis)
+    machine = MachineModel().with_alias_registers(
+        case.config.alias_registers
+    )
+    return block, analysis, deps, machine
+
+
+def _make_hook(name, machine, block, deps):
+    deps = DependenceSet(deps)
+    order = list(block.instructions)
+    if name == "smarq":
+        return SmarqAllocator(machine, deps, order)
+    if name == "plainorder":
+        return PlainOrderAllocator(machine, deps, order)
+    if name == "bitmask":
+        return BitmaskAllocator(
+            machine, deps, order,
+            num_registers=min(15, machine.alias_registers),
+        )
+    return None
+
+
+def _annotations(inst):
+    return (
+        inst.uid, inst.opcode, inst.p_bit, inst.c_bit, inst.ar_offset,
+        inst.ar_order, inst.ar_mask, inst.rotate_by, inst.amov_src,
+        inst.amov_dst,
+    )
+
+
+class TestMatchesUidDictScheduler:
+    """Same linear order, same issue cycles (in the same dict order),
+    same length, same speculated pairs and same allocator statistics —
+    so the same calls into the hooks — as the scheduler it replaced.
+
+    Both schedulers run over the same block (its allocator annotations
+    reset in between), so block instructions keep their uids; the
+    pseudo-ops each run splices in are compared by position."""
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        exits=st.integers(0, 2),
+        hint=st.one_of(st.none(), st.integers(0, 99)),
+        ban=st.one_of(st.none(), st.integers(0, 99)),
+    )
+    def test_same_schedule(self, seed, exits, hint, ban):
+        block, analysis, deps, machine = _fuzz_block(seed, exits, hint, ban)
+        pristine = [dict(vars(inst)) for inst in block]
+        for hook, policy, reorder, speculate in COMBOS:
+            config = SchedulerConfig(
+                speculate=speculate, allow_store_reorder=reorder
+            )
+            runs = []
+            for build, scheduler in (
+                (DataDependenceGraph, ListScheduler),
+                (ReferenceDdg, ReferenceScheduler),
+            ):
+                for inst, state in zip(block, pristine):
+                    vars(inst).update(state)
+                ddg = build(
+                    block, machine, memory_dependences=deps,
+                    allow_store_reorder=reorder, speculation_policy=policy,
+                )
+                allocator = _make_hook(hook, machine, block, deps)
+                result = scheduler(
+                    machine, config, allocator or AllocatorHook()
+                ).schedule(ddg, alias_analysis=analysis)
+                annotated = [_annotations(inst) for inst in block]
+                runs.append((ddg, allocator, result, annotated))
+            self._same(block, *runs)
+
+    @staticmethod
+    def _same(block, new_run, old_run):
+        ddg, allocator, new, annotated = new_run
+        ref_ddg, ref_allocator, old, ref_annotated = old_run
+        positions = {inst.uid: i for i, inst in enumerate(block)}
+        assert ddg.edges == tuple(
+            (positions[e.src.uid], positions[e.dst.uid], e.kind.value,
+             e.latency, e.speculative_breakable)
+            for e in ref_ddg._edges
+        )
+        assert annotated == ref_annotated
+
+        def shape(linear, cycle_of):
+            """The linear order and ``cycle_of`` (in its order), with
+            each pseudo-op's uid replaced by its index in ``linear``."""
+            label = {
+                inst.uid: ("pseudo", i)
+                for i, inst in enumerate(linear)
+                if inst.uid not in positions
+            }
+            order = [label.get(inst.uid, inst.uid) for inst in linear]
+            ops = [_annotations(inst)[1:] for inst in linear]
+            cycles = [(label.get(u, u), c) for u, c in cycle_of.items()]
+            return order, ops, cycles
+
+        linear, cycle_of, length, speculated = old
+        assert shape(new.linear, new.cycle_of) == shape(linear, cycle_of)
+        assert new.length_cycles == length
+        assert new.speculated_pairs == speculated
+        if allocator is not None:
+            assert allocator.stats == ref_allocator.stats

@@ -29,7 +29,10 @@ quadratic, an allocator that re-heapifies) fails deterministically:
 8. a job allocates little to begin with: a translation-cache hit clones
    a small, bounded object graph per region instruction, interpreting
    guest code builds nothing per pc, and the block-at-a-time profile
-   equals the per-instruction one.
+   equals the per-instruction one;
+9. the optimizer core keeps no per-edge objects: the DDG and the list
+   scheduler leave the collector a number of objects bounded by the
+   block's length, however many dependence edges it has.
 """
 
 import gc
@@ -38,6 +41,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.smarq.allocator as allocator_mod
+from repro.analysis.aliasinfo import AliasAnalysis
+from repro.analysis.dependence import compute_dependences
 from repro.engine.cache import ReportCache
 from repro.engine.core import ExecutionEngine
 from repro.engine.instrumentation import Tracer
@@ -47,6 +52,10 @@ from repro.frontend.profiler import HotnessProfiler, ProfilerConfig
 from repro.frontend.program import GuestProgram
 from repro.fuzz import generate_case
 from repro.ir.instruction import Opcode, binop, branch, load, movi, store
+from repro.ir.superblock import Superblock
+from repro.sched.ddg import DataDependenceGraph
+from repro.sched.list_scheduler import ListScheduler
+from repro.sched.machine import VLIW_DEFAULT
 from repro.sim.memory import Memory
 from repro.sim.dbt import DbtSystem
 from repro.workloads import make_benchmark
@@ -211,7 +220,8 @@ class TestJobsAllocateLittle:
     #: (an instruction, its attribute dict, its operand tuples and its
     #: share of the schedule and the check pairs). A clone of the whole
     #: optimizer state (allocator, dependence set, alias analysis) took
-    #: 8-47 per instruction.
+    #: 8-47 per instruction, and a ``smarq-cert`` translation that kept
+    #: its alias certificate (one entry per base dependence) up to 19.
     CLONE_OBJECTS_PER_INSTRUCTION = 7
 
     def test_full_tier_hit_clones_a_small_graph(self, monkeypatch):
@@ -224,7 +234,9 @@ class TestJobsAllocateLittle:
         reset_translation_cache()
         try:
             for bench in ("art", "galgel", "pchase"):
-                for scheme in ("smarq", "itanium", "efficeon", "none"):
+                for scheme in (
+                    "smarq", "smarq-cert", "itanium", "efficeon", "none"
+                ):
                     _run_cell(bench, scheme)
             cache = get_translation_cache()
             keys = list(cache._full)
@@ -599,3 +611,54 @@ class TestServeWarmState:
         # (or, worst case under scheduler delay, hit the memo)
         assert stats["counters"]["dbt.runs"] == 1
         assert stats["jobs"]["dedup_hits"] + stats["memo"]["hits"] == 1
+
+
+class TestOptimizerCoreTracksNoEdges:
+    """The DDG is position-indexed edge tuples and the scheduler works
+    on position-indexed lists: neither keeps an object per edge."""
+
+    @staticmethod
+    def _dense_block(length):
+        """Stores and loads through unrelated pointers (every pair MAY
+        alias), side exits and a register chain, then a final branch:
+        dozens of dependence edges per instruction."""
+        insts = []
+        for i in range(length - 1):
+            kind = i % 4
+            if kind == 0:
+                insts.append(store(10 + i % 3, 1 + i % 5))
+            elif kind == 1:
+                insts.append(load(1 + i % 5, 13 + i % 3, disp=8 * (i % 7)))
+            elif kind == 2:
+                insts.append(branch(Opcode.BEQ, 0, srcs=(1 + i % 5, 2)))
+            else:
+                dest, lhs, rhs = (1 + (i + k) % 5 for k in range(3))
+                insts.append(binop(Opcode.ADD, dest, lhs, rhs))
+        insts.append(branch(Opcode.BR, 0))
+        block = Superblock(instructions=insts)
+        analysis = AliasAnalysis(block)
+        return block, analysis, compute_dependences(block, analysis)
+
+    def _schedule_growth(self, length):
+        """Collector-tracked objects left by building the DDG of a
+        ``length``-instruction block and scheduling it, with the graph
+        and the schedule still alive (after a collection, which
+        untracks tuples of plain numbers and strings)."""
+        block, analysis, deps = self._dense_block(length)
+        gc.collect()
+        before = len(gc.get_objects())
+        ddg = DataDependenceGraph(block, VLIW_DEFAULT, memory_dependences=deps)
+        result = ListScheduler(VLIW_DEFAULT).schedule(
+            ddg, alias_analysis=analysis
+        )
+        gc.collect()
+        grown = len(gc.get_objects()) - before
+        assert len(result.linear) == length
+        return grown, len(ddg.edges)
+
+    def test_ddg_and_schedule_keep_no_per_edge_objects(self):
+        self._schedule_growth(10)  # warm lazy imports and machine tables
+        grown, edges = self._schedule_growth(400)
+        assert edges >= 50 * 400
+        assert grown <= 400, (grown, edges)
+
